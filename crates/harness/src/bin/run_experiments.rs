@@ -3,9 +3,7 @@
 //! ```text
 //! run-experiments [--quick] [--seed N] [--cases K] [--jobs N]
 //!                 [--iters N] [--label S] [--no-cycle-skip]
-//!                 [--schedule-bound B]
-//!                 [--sm-threads N] [--mem-threads N]
-//!                 [--sample-sms K] [--pin]
+//!                 [--schedule-bound B] [--sample-sms K]
 //!                 [--addr HOST:PORT] [--deadline-ms N] [--max-conns N]
 //!                 [--streams N] [--concurrency N] [--events N] [--probes]
 //!                 [--idle N] [--traces-per-conn N]
@@ -41,39 +39,23 @@
 //!
 //! `perf` (also only by name) times the fixed perf basket `--iters` times
 //! per entry (default 3, median reported) and appends the run, tagged
-//! `--label` (default "dev"), to `BENCH_sim.json` at the repository root.
+//! `--label` (default "dev"), to `BENCH_sim.json` in the current working
+//! directory.
 //!
 //! `paper-scale` (also only by name) runs the applications at the paper's
 //! input sizes — the 25.6M-element reduction, the 800×500×30 matrix
 //! multiply, R-MAT graphs at 10×/30× — recording memory footprint,
-//! metadata-store bytes, a worker-pinning A/B, and a sampled-SM
-//! extrapolation entry whose realized error is judged against the
-//! full-detail baseline. `--sample-sms K` sets the detailed-SM count
-//! (default 5; 0 skips the sampled entries), `--pin` pins workers for the
-//! whole tier, and `--quick` shrinks inputs ~16× for CI. Both flags are
-//! only meaningful with `paper-scale`; passing them without it is an
-//! error. Extrapolated cycle counts appear only in this tier's output,
+//! metadata-store bytes, and a sampled-SM extrapolation entry whose
+//! realized error is judged against the full-detail baseline.
+//! `--sample-sms K` sets the detailed-SM count (default 5; 0 skips the
+//! sampled entries) and `--quick` shrinks inputs ~16× for CI.
+//! `--sample-sms` is only meaningful with `paper-scale`; passing it without
+//! it is an error. Extrapolated cycle counts appear only in this tier's output,
 //! always with an error bound — never in paper tables.
 //!
 //! `--no-cycle-skip` disables the simulator's quiescence skip-ahead — a
 //! debug flag: results are byte-identical either way (asserted by the
 //! determinism tests), only slower.
-//!
-//! `--sm-threads N` runs every simulation's SM front-end phase on N
-//! threads (default 1 = serial). Like `--jobs`, this cannot change any
-//! result: the parallel phase only generates per-SM request buffers that
-//! are drained in fixed SM order, so all tables and race reports are
-//! byte-identical for any N (asserted by the determinism tests). `--jobs`
-//! shards *across* simulations; `--sm-threads` parallelizes *inside* one —
-//! the latter is what shortens a sweep whose critical path is a single
-//! large workload.
-//!
-//! `--mem-threads N` does the same for the memory side of Phase B: the L2
-//! partitions and their DRAM channels tick as independent shards on N
-//! threads (default 1 = serial), with buffered effects merged in fixed
-//! partition order — byte-identical for any N, also asserted by the
-//! determinism tests. Combine with `--sm-threads` to parallelize both
-//! phases on one worker pool.
 //!
 //! `serve` (only by name) runs the race-detection service on `--addr`
 //! (default `127.0.0.1:7444`) until SIGTERM/SIGINT, then drains gracefully
@@ -83,8 +65,8 @@
 //! `--streams` fuzzed traces of `--events` events from `--concurrency`
 //! client threads at a running server, fires the malformed-input and
 //! deadline-reap robustness probes when `--probes` is given, and appends
-//! the run (tagged `--label`) to `BENCH_serve.json` at the repository
-//! root; it exits nonzero if any stream failed or a probe misbehaved.
+//! the run (tagged `--label`) to `BENCH_serve.json` in the current working
+//! directory; it exits nonzero if any stream failed or a probe misbehaved.
 //! `--idle N` additionally parks N idle sessions on the server for the
 //! duration of the run (the mostly-idle fleet shape the reactor is built
 //! for) and `--traces-per-conn K` streams K traces per connection over
@@ -127,7 +109,6 @@ fn main() {
     let mut schedule_bound = 64u32;
     let mut probes = false;
     let mut sample_sms: Option<u32> = None;
-    let mut pin = false;
     let mut wanted: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -224,7 +205,6 @@ fn main() {
                 });
             }
             "--no-cycle-skip" => scord_sim::set_cycle_skip(false),
-            "--pin" => pin = true,
             "--sample-sms" => {
                 let v = it.next().unwrap_or_else(|| {
                     eprintln!("--sample-sms needs a value");
@@ -234,28 +214,6 @@ fn main() {
                     eprintln!("--sample-sms needs an unsigned integer, got {v:?}");
                     exit(2);
                 }));
-            }
-            "--sm-threads" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--sm-threads needs a value");
-                    exit(2);
-                });
-                let n: u32 = v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                    eprintln!("--sm-threads needs a positive integer, got {v:?}");
-                    exit(2);
-                });
-                scord_sim::set_sm_threads(n);
-            }
-            "--mem-threads" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--mem-threads needs a value");
-                    exit(2);
-                });
-                let n: u32 = v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                    eprintln!("--mem-threads needs a positive integer, got {v:?}");
-                    exit(2);
-                });
-                scord_sim::set_mem_threads(n);
             }
             "--iters" => {
                 let v = it.next().unwrap_or_else(|| {
@@ -355,11 +313,10 @@ fn main() {
         "connsweep",
     ];
     let want = |name: &str| (all && !BY_NAME_ONLY.contains(&name)) || wanted.contains(&name);
-    // Sampled-SM extrapolation and worker pinning only make sense for the
-    // paper-scale tier; a stray flag elsewhere would silently do nothing,
-    // so reject it loudly.
-    if (sample_sms.is_some() || pin) && !wanted.contains(&"paper-scale") {
-        eprintln!("--sample-sms / --pin require the paper-scale experiment");
+    // Sampled-SM extrapolation only makes sense for the paper-scale tier; a
+    // stray flag elsewhere would silently do nothing, so reject it loudly.
+    if sample_sms.is_some() && !wanted.contains(&"paper-scale") {
+        eprintln!("--sample-sms requires the paper-scale experiment");
         exit(2);
     }
     let t0 = Instant::now();
@@ -506,7 +463,6 @@ fn main() {
         let opts = h::paper_scale::PaperScaleOptions {
             quick,
             sample_sms: sample_sms.unwrap_or(5),
-            pin,
             label: label.clone(),
         };
         println!(

@@ -1,19 +1,18 @@
-//! A parallel executor for experiment sweeps, built on [`scord_pool`].
+//! A parallel executor for experiment sweeps.
 //!
 //! Every table/figure reproduction is a matrix of fully independent
 //! simulations (one fresh [`scord_sim::Gpu`] per cell), which is exactly the
 //! embarrassingly-parallel shape GPU-simulator harnesses shard across host
 //! threads. This module supplies the one primitive they all use:
-//! [`run_jobs`] fans a slice of job descriptors out over a persistent
-//! [`scord_pool::WorkerPool`] (cached process-wide and rebuilt only when
-//! the requested worker count changes), and workers deposit results into
-//! slots indexed by job id — so a parallel sweep emits **byte-identical**
-//! tables to a serial one, regardless of which worker finishes first.
+//! [`run_jobs`] fans a slice of job descriptors out over scoped worker
+//! threads, and workers deposit results into slots indexed by job id — so a
+//! parallel sweep emits **byte-identical** tables to a serial one,
+//! regardless of which worker finishes first.
 //!
 //! Determinism argument: job cells never share mutable state (each builds
 //! its own `Gpu`, which is `Send`), the result of cell *i* lands in slot
-//! *i*, and all folding over the slots happens after the pool joins, in job
-//! order. Thread scheduling can therefore change only *when* a cell runs,
+//! *i*, and all folding over the slots happens after the workers join, in
+//! job order. Thread scheduling can therefore change only *when* a cell runs,
 //! never *what* it computes or where its result goes.
 //!
 //! [`sweep`] adds per-job wall-time accounting on top and records a
@@ -21,11 +20,11 @@
 //! binary drains for its timing summary.
 
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
-
-use scord_pool::WorkerPool;
 
 /// Worker-thread budget for a sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,25 +90,17 @@ pub fn take_recorded() -> Vec<SweepStats> {
     std::mem::take(&mut RECORDED.lock().expect("timing registry lock"))
 }
 
-/// The process-wide sweep pool, rebuilt only when a sweep asks for a
-/// different worker count than the cached pool has. One pool suffices
-/// because sweeps run one at a time with a fixed `--jobs`; the lock is
-/// `try_lock`ed so a nested or concurrent sweep degrades to a temporary
-/// pool instead of deadlocking.
-static SWEEP_POOL: Mutex<Option<WorkerPool>> = Mutex::new(None);
-
 /// Runs `run(i, &items[i])` for every item, on up to `jobs` worker threads,
 /// returning the results in item order.
 ///
-/// * Work is fanned out over a persistent [`WorkerPool`]: workers pull the
-///   next job id from a shared atomic cursor, so cells are load-balanced
-///   without any work-stealing machinery, and the threads survive across
-///   sweeps instead of being respawned per call.
+/// * Work is fanned out over scoped threads: workers pull the next job id
+///   from a shared atomic cursor, so cells are load-balanced without any
+///   work-stealing machinery.
 /// * Result `i` always lands in slot `i`: output is independent of worker
 ///   count and scheduling.
 /// * A panicking job aborts the sweep: remaining workers stop picking up
-///   jobs and the panic is re-raised on the calling thread once the
-///   barrier completes.
+///   jobs and the first panic is re-raised on the calling thread, with its
+///   original payload, once every worker has joined.
 pub fn run_jobs<J, T, F>(jobs: Jobs, items: &[J], run: F) -> Vec<T>
 where
     J: Sync,
@@ -118,35 +109,41 @@ where
 {
     let workers = jobs.get().min(items.len());
     if workers <= 1 {
-        // Inline serial path: today's behaviour, bit for bit (and panics
-        // propagate untouched).
+        // Inline serial path (panics propagate untouched).
         return items.iter().enumerate().map(|(i, j)| run(i, j)).collect();
     }
 
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    let mut fill = |pool: &WorkerPool| {
-        pool.for_each_mut(&mut slots, |i, slot| *slot = Some(run(i, &items[i])));
-    };
-    let guard = match SWEEP_POOL.try_lock() {
-        Ok(g) => Some(g),
-        // The pool survives panicking sweeps, so a poisoned lock just
-        // means an earlier sweep unwound mid-run; keep using the cache.
-        Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-        // A sweep is already running on another thread (or this one,
-        // reentrantly): spin up a short-lived pool rather than block.
-        Err(std::sync::TryLockError::WouldBlock) => None,
-    };
-    match guard {
-        Some(mut cached) => {
-            let pool = cached
-                .take()
-                .filter(|p| p.threads() == workers)
-                .unwrap_or_else(|| WorkerPool::new(workers));
-            // Park the pool in the cache before running so a panicking
-            // sweep (which the pool survives) doesn't tear it down.
-            fill(cached.insert(pool));
+    let cursor = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let worker = || {
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                break;
+            };
+            match catch_unwind(AssertUnwindSafe(|| run(i, item))) {
+                Ok(value) => done.push((i, value)),
+                Err(payload) => {
+                    failed.store(true, Ordering::Relaxed);
+                    return Err(payload);
+                }
+            }
         }
-        None => fill(&WorkerPool::new(workers)),
+        Ok(done)
+    };
+    let finished: Vec<_> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("job panics are caught inside the worker"))
+            .collect()
+    });
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    for done in finished {
+        for (i, value) in done.unwrap_or_else(|payload| resume_unwind(payload)) {
+            slots[i] = Some(value);
+        }
     }
     slots
         .into_iter()
@@ -205,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn more_workers_than_jobs_caps_the_pool() {
+    fn more_workers_than_jobs_caps_the_workers() {
         let items = [1u64, 2, 3];
         let out = run_jobs(Jobs::new(64).unwrap(), &items, |_, &x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);

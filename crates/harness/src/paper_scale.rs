@@ -4,7 +4,7 @@
 //! The regular perf basket ([`crate::perf`]) runs quick-size workloads so a
 //! basket stays under a minute; this tier deliberately runs the big ones —
 //! the 25.6M-element reduction, the 800×500×30 matrix multiply, and R-MAT
-//! graphs at 10×+ the default — because three questions only show up at
+//! graphs at 10×+ the default — because two questions only show up at
 //! that scale:
 //!
 //! 1. **Does sampled-SM extrapolation hold?** Each sampled entry runs the
@@ -18,13 +18,9 @@
 //!    entry snapshots the process footprint ([`crate::footprint`]) after
 //!    the run, and detection-on entries add the metadata store's own byte
 //!    accounting (`Gpu::detector_store_usage`).
-//! 3. **Does topology-aware worker pinning pay off on a real multi-SM
-//!    drain?** The full-size reduction runs as a pinned/unpinned A/B pair
-//!    at `(sm_threads, mem_threads) = (4, 4)`, tagged with a `pinned`
-//!    extra field.
 //!
-//! Results append to the same `BENCH_sim.json` as the perf basket, as
-//! schema-4 rows whose `extra` fields carry the numbers above. Extrapolated
+//! Results append to the same `BENCH_sim.json` as the perf basket, as rows
+//! whose `extra` fields carry the numbers above. Extrapolated
 //! cycle counts are **never** fed into paper tables — they appear only
 //! here, always next to their error bound.
 
@@ -42,11 +38,6 @@ use crate::render_table;
 /// reduction input, 1M-vertex graphs) outgrow the 64 MiB default.
 const PAPER_MEM_BYTES: u64 = 192 << 20;
 
-/// `(sm_threads, mem_threads)` for the full-detail entries. Sampled entries
-/// run serial: with only K detailed SMs the parallel front end's overhead
-/// exceeds its win.
-const FULL_THREADS: u32 = 4;
-
 /// Options for one paper-scale sweep.
 #[derive(Debug, Clone)]
 pub struct PaperScaleOptions {
@@ -55,9 +46,6 @@ pub struct PaperScaleOptions {
     pub quick: bool,
     /// Detailed SMs for the sampled entries (`--sample-sms`); 0 skips them.
     pub sample_sms: u32,
-    /// Pin workers for every entry (`--pin`). The reduction A/B pair
-    /// toggles pinning explicitly regardless of this flag.
-    pub pin: bool,
     /// Run label recorded in `BENCH_sim.json`.
     pub label: String,
 }
@@ -67,7 +55,6 @@ impl Default for PaperScaleOptions {
         PaperScaleOptions {
             quick: false,
             sample_sms: 5,
-            pin: false,
             label: "paper-scale".into(),
         }
     }
@@ -119,16 +106,12 @@ fn gcon_tiers(quick: bool) -> &'static [u32] {
 }
 
 /// Builds the GPU for one entry.
-fn gpu(mode: DetectionMode, sample_sms: u32, threads: u32) -> Gpu {
+fn gpu(mode: DetectionMode, sample_sms: u32) -> Gpu {
     let mut cfg = GpuConfig::paper_default()
         .with_detection(mode)
         .with_sample_sms(sample_sms);
     cfg.mem_bytes = PAPER_MEM_BYTES;
-    cfg.sm_threads = threads;
-    cfg.mem_threads = threads;
-    let mut g = Gpu::new(cfg);
-    g.set_phase_timing(true);
-    g
+    Gpu::new(cfg)
 }
 
 /// Runs `app` once on `gpu` and folds the result plus the footprint
@@ -143,7 +126,6 @@ fn run_entry(name: String, app: &dyn Benchmark, gpu: &mut Gpu) -> Measurement {
         run.output_valid != Some(false),
         "paper-scale {name} produced wrong output"
     );
-    let (pa, pb) = gpu.phase_nanos();
     let mut extra = Vec::new();
     if let Some(f) = footprint::read() {
         extra.push(("peak_rss_bytes", ExtraValue::U64(f.peak_rss_bytes)));
@@ -170,9 +152,6 @@ fn run_entry(name: String, app: &dyn Benchmark, gpu: &mut Gpu) -> Measurement {
         name,
         wall,
         cycles: run.stats.cycles,
-        phase_a_ns: pa,
-        phase_b_ns: pb,
-        phase_b_shard_ns: gpu.shard_phase_b_nanos().to_vec(),
         extra,
     }
 }
@@ -192,45 +171,32 @@ fn extra_of(m: &Measurement, key: &str) -> Option<ExtraValue> {
 pub fn run(opts: &PaperScaleOptions) -> PerfRun {
     let size = if opts.quick { "quick" } else { "full" };
     let mut workloads = Vec::new();
-    scord_pool::set_pin_workers(opts.pin);
 
-    // Full-detail reduction, detection off, as a pinned/unpinned A/B pair.
-    // Cycle counts are deterministic across thread counts and pinning, so
-    // the unpinned row doubles as the baseline the sampled row's
+    // Full-detail reduction, detection off: the baseline the sampled row's
     // extrapolation error is judged against.
     let red = reduction(opts.quick);
-    let mut full_red_cycles = 0;
-    for pinned in [false, true] {
-        scord_pool::set_pin_workers(pinned);
-        let suffix = if pinned { "/pinned" } else { "" };
-        let mut g = gpu(DetectionMode::Off, 0, FULL_THREADS);
-        let mut m = run_entry(
-            format!("paper/RED/{size}/off/smt{FULL_THREADS}/memt{FULL_THREADS}{suffix}"),
-            &red,
-            &mut g,
-        );
-        m.extra.push(("pinned", ExtraValue::U64(u64::from(pinned))));
-        full_red_cycles = m.cycles;
-        workloads.push(m);
-    }
-    scord_pool::set_pin_workers(opts.pin);
+    let full = run_entry(
+        format!("paper/RED/{size}/off"),
+        &red,
+        &mut gpu(DetectionMode::Off, 0),
+    );
+    let full_red_cycles = full.cycles;
+    workloads.push(full);
 
     // Full-detail reduction with detection on: the metadata-store cost row.
-    let mut g = gpu(DetectionMode::scord(), 0, FULL_THREADS);
     workloads.push(run_entry(
-        format!("paper/RED/{size}/scord/smt{FULL_THREADS}/memt{FULL_THREADS}"),
+        format!("paper/RED/{size}/scord"),
         &red,
-        &mut g,
+        &mut gpu(DetectionMode::scord(), 0),
     ));
 
-    // Sampled reduction: K detailed SMs, serial. Record the realized error
+    // Sampled reduction: K detailed SMs. Record the realized error
     // against the full-detail baseline next to the model's own bound.
     if opts.sample_sms > 0 {
-        let mut g = gpu(DetectionMode::Off, opts.sample_sms, 1);
         let mut m = run_entry(
             format!("paper/RED/{size}/off/sampled{}", opts.sample_sms),
             &red,
-            &mut g,
+            &mut gpu(DetectionMode::Off, opts.sample_sms),
         );
         if let Some(ExtraValue::U64(extrap)) = extra_of(&m, "extrapolated_cycles") {
             let err = (extrap as f64 - full_red_cycles as f64) / full_red_cycles as f64 * 100.0;
@@ -246,22 +212,23 @@ pub fn run(opts: &PaperScaleOptions) -> PerfRun {
         ("off", DetectionMode::Off),
         ("scord", DetectionMode::scord()),
     ] {
-        let mut g = gpu(mode, 0, FULL_THREADS);
         workloads.push(run_entry(
             format!("paper/MM/{size}/{mode_name}"),
             &mm,
-            &mut g,
+            &mut gpu(mode, 0),
         ));
     }
 
     // R-MAT graph connectivity at the tier's scale multipliers.
     for &mult in gcon_tiers(opts.quick) {
         let gcon = GraphConnectivity::scaled(mult);
-        let mut g = gpu(DetectionMode::Off, 0, FULL_THREADS);
-        workloads.push(run_entry(format!("paper/GCONx{mult}/off"), &gcon, &mut g));
+        workloads.push(run_entry(
+            format!("paper/GCONx{mult}/off"),
+            &gcon,
+            &mut gpu(DetectionMode::Off, 0),
+        ));
     }
 
-    scord_pool::set_pin_workers(false);
     PerfRun {
         label: opts.label.clone(),
         iters: 1,
@@ -296,11 +263,7 @@ pub fn to_markdown(run: &PerfRun) -> String {
             };
             let note = match extra_of(m, "sampled_vs_full_err_pct") {
                 Some(ExtraValue::F64(e)) => format!("vs full: {e:+.1}%"),
-                _ => match extra_of(m, "pinned") {
-                    Some(ExtraValue::U64(1)) => "pinned".into(),
-                    Some(ExtraValue::U64(_)) => "unpinned".into(),
-                    _ => "-".into(),
-                },
+                _ => "-".into(),
             };
             vec![
                 m.name.clone(),
@@ -354,9 +317,6 @@ mod tests {
                     name: "paper/RED/full/off/sampled5".into(),
                     wall: Duration::from_millis(10),
                     cycles: 900,
-                    phase_a_ns: 0,
-                    phase_b_ns: 0,
-                    phase_b_shard_ns: Vec::new(),
                     extra: vec![
                         ("extrapolated_cycles", ExtraValue::U64(2700)),
                         ("error_bound_pct", ExtraValue::F64(9.5)),
@@ -367,13 +327,7 @@ mod tests {
                     name: "paper/RED/full/off".into(),
                     wall: Duration::from_millis(30),
                     cycles: 2750,
-                    phase_a_ns: 0,
-                    phase_b_ns: 0,
-                    phase_b_shard_ns: Vec::new(),
-                    extra: vec![
-                        ("peak_rss_bytes", ExtraValue::U64(512 << 20)),
-                        ("pinned", ExtraValue::U64(0)),
-                    ],
+                    extra: vec![("peak_rss_bytes", ExtraValue::U64(512 << 20))],
                 },
             ],
         };
@@ -381,7 +335,6 @@ mod tests {
         assert!(md.contains("≈2700 ±9.5% (measured 900)"), "{md}");
         assert!(md.contains("vs full: -2.0%"), "{md}");
         assert!(md.contains("512.0 MiB peak"), "{md}");
-        assert!(md.contains("unpinned"), "{md}");
         // The plain row prints its measured cycles unadorned.
         assert!(md.contains("| 2750 |"), "{md}");
     }

@@ -1,5 +1,5 @@
 //! In-tree performance harness: times a fixed workload basket and records
-//! the result in `BENCH_sim.json` at the repository root.
+//! the result in `BENCH_sim.json` in the current working directory.
 //!
 //! Every experiment in this repository is bottlenecked by single-simulation
 //! wall-clock, so the perf trajectory is tracked *in tree*: each
@@ -14,21 +14,13 @@
 //! * eight microbenchmarks spanning the suite's categories, detection off
 //!   and on,
 //! * one fuzzed-trace replay straight through the detector (no simulator),
+//! * GCON scaled 4× (detection off and on) — one long simulation,
 //! * the quick and full Table VI sweeps at `--jobs 1` — the end-to-end
 //!   number the ROADMAP's "as fast as the hardware allows" goal is graded
-//!   on,
-//! * an intra-sim parallelism A/B: GCON scaled 4× at `(sm_threads,
-//!   mem_threads)` (1,1), (4,1), (4,4), and (4,4) with topology-aware
-//!   worker pinning (detection off and on) — the workload class the
-//!   parallel SM stage, the sharded memory-side drain, and the
-//!   physical-core-first pinning policy exist for. The pinned entries
-//!   carry a `pinned` extra field so the A/B pair is machine-readable.
+//!   on.
 //!
-//! Simulator entries run with per-phase timing enabled, so every record
-//! carries the Phase A (parallel SM front end) vs Phase B (memory system +
-//! detector) wall-time split alongside the total; the GCONx4 A/B entries
-//! additionally record the per-shard (per L2 partition / DRAM channel)
-//! Phase B split.
+//! Every entry is timed with no instrumentation running: the wall time is
+//! the whole simulation and nothing else.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -62,10 +54,10 @@ const BASKET_MICROS: [&str; 8] = [
     "atom-racey-dev-then-weak-load-diff-block",
 ];
 
-/// A typed value in a [`Measurement`]'s schema-4 `extra` fields.
+/// A typed value in a [`Measurement`]'s `extra` fields.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExtraValue {
-    /// An integer field (byte counts, cycle counts, 0/1 flags).
+    /// An integer field (byte counts, cycle counts).
     U64(u64),
     /// A fractional field (error percentages).
     F64(f64),
@@ -91,21 +83,9 @@ pub struct Measurement {
     /// Simulated GPU cycles per iteration (0 for sweep/replay entries that
     /// aggregate many simulations).
     pub cycles: u64,
-    /// Wall nanoseconds the last iteration spent in Phase A (the per-SM
-    /// front end; 0 for entries that aggregate many simulations).
-    pub phase_a_ns: u64,
-    /// Wall nanoseconds the last iteration spent in Phase B (memory
-    /// system + detector drain; 0 for aggregate entries).
-    pub phase_b_ns: u64,
-    /// Per-shard (per L2 partition / DRAM channel) wall nanoseconds of the
-    /// last iteration's sharded memory tick — a subset of `phase_b_ns`.
-    /// Recorded only for the GCONx4 A/B entries; empty elsewhere so the
-    /// record stays compact.
-    pub phase_b_shard_ns: Vec<u64>,
-    /// Schema-4 extension: entry-specific key/value fields appended to the
-    /// JSON record verbatim (footprint bytes, sampled-extrapolation cycles
-    /// and error bounds, pinning flags). Empty for classic entries, so the
-    /// record shape of schema ≤3 entries is unchanged.
+    /// Entry-specific key/value fields appended to the JSON record verbatim
+    /// (footprint bytes, sampled-extrapolation cycles and error bounds).
+    /// Empty for basket entries.
     pub extra: Vec<(&'static str, ExtraValue)>,
 }
 
@@ -144,32 +124,11 @@ fn median(mut samples: Vec<Duration>) -> Duration {
     samples[samples.len() / 2]
 }
 
-/// One iteration's simulation-side numbers, captured alongside the wall
-/// time [`time_entry`] measures.
-#[derive(Debug, Clone, Default)]
-struct Sample {
-    cycles: u64,
-    phase_a_ns: u64,
-    phase_b_ns: u64,
-    /// Per-shard Phase B wall time; empty for aggregate entries.
-    shard_b_ns: Vec<u64>,
-}
-
-impl Sample {
-    /// A sweep/replay entry's sample: `n` results, no phase split.
-    fn aggregate(n: u64) -> Self {
-        Sample {
-            cycles: n,
-            ..Sample::default()
-        }
-    }
-}
-
 /// Times `body` `iters` times, returning the median wall time and the last
-/// iteration's [`Sample`].
-fn time_entry(iters: usize, mut body: impl FnMut() -> Sample) -> (Duration, Sample) {
+/// iteration's result.
+fn time_entry<T: Default>(iters: usize, mut body: impl FnMut() -> T) -> (Duration, T) {
     let mut samples = Vec::with_capacity(iters);
-    let mut last = Sample::default();
+    let mut last = T::default();
     for _ in 0..iters {
         let t0 = Instant::now();
         last = body();
@@ -178,38 +137,31 @@ fn time_entry(iters: usize, mut body: impl FnMut() -> Sample) -> (Duration, Samp
     (median(samples), last)
 }
 
-/// Builds a GPU for one basket simulation: phase timing on, `sm_threads` /
-/// `mem_threads` as given (0 keeps the config default of 1).
-fn basket_gpu(mode: DetectionMode, sm_threads: u32, mem_threads: u32) -> scord_sim::Gpu {
-    let mut cfg = MemoryVariant::Default.config().with_detection(mode);
-    if sm_threads > 0 {
-        cfg.sm_threads = sm_threads;
-    }
-    if mem_threads > 0 {
-        cfg.mem_threads = mem_threads;
-    }
-    let mut gpu = scord_sim::Gpu::new(cfg);
-    gpu.set_phase_timing(true);
-    gpu
+/// Builds a GPU for one basket simulation.
+fn basket_gpu(mode: DetectionMode) -> scord_sim::Gpu {
+    scord_sim::Gpu::new(MemoryVariant::Default.config().with_detection(mode))
 }
 
-/// Runs `app` on `gpu` and folds the result into the [`Sample`] shape
-/// [`time_entry`] consumes.
-fn timed_app(app: &dyn scor_suite::Benchmark, gpu: &mut scord_sim::Gpu) -> Sample {
+/// Runs `app` on a fresh basket GPU and returns its simulated cycles.
+fn timed_app(app: &dyn scor_suite::Benchmark, mode: DetectionMode) -> u64 {
     let run = app
-        .run(gpu)
+        .run(&mut basket_gpu(mode))
         .unwrap_or_else(|e| panic!("{} failed: {e}", app.name()));
     assert!(
         run.output_valid != Some(false),
         "{} produced wrong output",
         app.name()
     );
-    let (pa, pb) = gpu.phase_nanos();
-    Sample {
-        cycles: run.stats.cycles,
-        phase_a_ns: pa,
-        phase_b_ns: pb,
-        shard_b_ns: gpu.shard_phase_b_nanos().to_vec(),
+    run.stats.cycles
+}
+
+/// One basket entry with no extra fields.
+fn entry(name: String, wall: Duration, cycles: u64) -> Measurement {
+    Measurement {
+        name,
+        wall,
+        cycles,
+        extra: Vec::new(),
     }
 }
 
@@ -229,25 +181,20 @@ pub fn run(iters: usize, label: &str) -> PerfRun {
         ("scord", DetectionMode::scord()),
     ];
 
-    // Three applications at quick sizes: MM, RED, GCON.
+    // Three applications at quick sizes (MM, RED, GCON), then GCON scaled
+    // 4× as the one long simulation.
     let suite = apps(true);
-    for app in suite
+    let big = scor_suite::apps::GraphConnectivity::scaled(4);
+    let basket_apps = suite
         .iter()
+        .map(AsRef::as_ref)
         .filter(|a| matches!(a.name(), "MM" | "RED" | "GCON"))
-    {
+        .map(|a| (a.name().to_string(), a))
+        .chain([("GCONx4".to_string(), &big as &dyn scor_suite::Benchmark)]);
+    for (name, app) in basket_apps {
         for (mode_name, mode) in modes {
-            let (wall, s) = time_entry(iters, || {
-                timed_app(app.as_ref(), &mut basket_gpu(mode, 0, 0))
-            });
-            workloads.push(Measurement {
-                name: format!("{}/{mode_name}", app.name()),
-                wall,
-                cycles: s.cycles,
-                phase_a_ns: s.phase_a_ns,
-                phase_b_ns: s.phase_b_ns,
-                phase_b_shard_ns: Vec::new(),
-                extra: Vec::new(),
-            });
+            let (wall, cycles) = time_entry(iters, || timed_app(app, mode));
+            workloads.push(entry(format!("{name}/{mode_name}"), wall, cycles));
         }
     }
 
@@ -259,72 +206,12 @@ pub fn run(iters: usize, label: &str) -> PerfRun {
             .find(|m| m.name == name)
             .unwrap_or_else(|| panic!("basket micro {name:?} missing from the suite"));
         for (mode_name, mode) in modes {
-            let (wall, s) = time_entry(iters, || {
-                let mut gpu = basket_gpu(mode, 0, 0);
-                let cycles = m
-                    .run(&mut gpu)
+            let (wall, cycles) = time_entry(iters, || {
+                m.run(&mut basket_gpu(mode))
                     .unwrap_or_else(|e| panic!("{}: {e}", m.name))
-                    .cycles;
-                let (pa, pb) = gpu.phase_nanos();
-                Sample {
-                    cycles,
-                    phase_a_ns: pa,
-                    phase_b_ns: pb,
-                    shard_b_ns: Vec::new(),
-                }
+                    .cycles
             });
-            workloads.push(Measurement {
-                name: format!("{name}/{mode_name}"),
-                wall,
-                cycles: s.cycles,
-                phase_a_ns: s.phase_a_ns,
-                phase_b_ns: s.phase_b_ns,
-                phase_b_shard_ns: Vec::new(),
-                extra: Vec::new(),
-            });
-        }
-    }
-
-    // Intra-sim parallelism A/B: GCON scaled 4× at (sm_threads,
-    // mem_threads) (1,1), (4,1) and (4,4), plus (4,4) with topology-aware
-    // worker pinning — the pinned-vs-unpinned A/B rides on the combo where
-    // both parallel phases are active. The entries per mode measure the
-    // parallel SM stage alone and then both phases together, on a
-    // simulation big enough for the phases to dominate. These are the only
-    // entries that record the per-shard Phase B split.
-    let big = scor_suite::apps::GraphConnectivity::scaled(4);
-    for (mode_name, mode) in modes {
-        for (smt, memt, pinned) in [
-            (1u32, 1u32, false),
-            (4, 1, false),
-            (4, 4, false),
-            (4, 4, true),
-        ] {
-            // Label with the *effective* thread counts: the process-wide
-            // `--sm-threads` / `--mem-threads` floors can raise a
-            // configured 1 (e.g. the CI smoke runs the whole basket at 2).
-            let probe = basket_gpu(mode, smt, memt);
-            let (eff_s, eff_m) = (probe.sm_threads(), probe.mem_threads());
-            drop(probe);
-            // The pool samples the pinning toggle at construction, so each
-            // iteration's fresh `basket_gpu` pool picks the A/B side up.
-            scord_pool::set_pin_workers(pinned);
-            let (wall, s) = time_entry(iters, || timed_app(&big, &mut basket_gpu(mode, smt, memt)));
-            scord_pool::set_pin_workers(false);
-            let suffix = if pinned { "/pinned" } else { "" };
-            workloads.push(Measurement {
-                name: format!("GCONx4/{mode_name}/smt{eff_s}/memt{eff_m}{suffix}"),
-                wall,
-                cycles: s.cycles,
-                phase_a_ns: s.phase_a_ns,
-                phase_b_ns: s.phase_b_ns,
-                phase_b_shard_ns: s.shard_b_ns,
-                extra: if smt == 4 && memt == 4 {
-                    vec![("pinned", ExtraValue::U64(u64::from(pinned)))]
-                } else {
-                    Vec::new()
-                },
-            });
+            workloads.push(entry(format!("{name}/{mode_name}"), wall, cycles));
         }
     }
 
@@ -334,54 +221,22 @@ pub fn run(iters: usize, label: &str) -> PerfRun {
         ..FuzzConfig::default()
     }
     .generate(FUZZ_SEED);
-    let (wall, ..) = time_entry(iters, || {
+    let (wall, ()) = time_entry(iters, || {
         let mut det = ScordDetector::new(crate::diff::diff_config());
         trace
             .replay(&mut det)
             .unwrap_or_else(|e| panic!("fuzz basket trace must replay: {e}"));
-        Sample::aggregate(u64::from(det.races().unique_count() as u32))
+        std::hint::black_box(det.races().unique_count());
     });
-    workloads.push(Measurement {
-        name: format!("fuzz_replay_{FUZZ_EVENTS}ev"),
-        wall,
-        cycles: 0,
-        phase_a_ns: 0,
-        phase_b_ns: 0,
-        phase_b_shard_ns: Vec::new(),
-        extra: Vec::new(),
-    });
+    workloads.push(entry(format!("fuzz_replay_{FUZZ_EVENTS}ev"), wall, 0));
 
     // The Table VI sweeps, serial: the end-to-end regression tripwire.
-    let (wall, ..) = time_entry(iters, || {
-        let n = crate::table6::run(true, Jobs::serial())
-            .expect("table6 quick sweep")
-            .len() as u64;
-        Sample::aggregate(n)
-    });
-    workloads.push(Measurement {
-        name: "table6_quick_sweep".into(),
-        wall,
-        cycles: 0,
-        phase_a_ns: 0,
-        phase_b_ns: 0,
-        phase_b_shard_ns: Vec::new(),
-        extra: Vec::new(),
-    });
-    let (wall, ..) = time_entry(iters, || {
-        let n = crate::table6::run(false, Jobs::serial())
-            .expect("table6 full sweep")
-            .len() as u64;
-        Sample::aggregate(n)
-    });
-    workloads.push(Measurement {
-        name: "table6_full_sweep".into(),
-        wall,
-        cycles: 0,
-        phase_a_ns: 0,
-        phase_b_ns: 0,
-        phase_b_shard_ns: Vec::new(),
-        extra: Vec::new(),
-    });
+    for (name, quick) in [("table6_quick_sweep", true), ("table6_full_sweep", false)] {
+        let (wall, ()) = time_entry(iters, || {
+            crate::table6::run(quick, Jobs::serial()).expect("table6 sweep");
+        });
+        workloads.push(entry(name.into(), wall, 0));
+    }
 
     PerfRun {
         label: label.to_string(),
@@ -397,19 +252,10 @@ pub fn to_markdown(run: &PerfRun) -> String {
         .workloads
         .iter()
         .map(|m| {
-            let phase = |ns: u64| {
-                if ns == 0 {
-                    "-".into()
-                } else {
-                    format!("{:.3}", ns as f64 / 1e6)
-                }
-            };
             vec![
                 m.name.clone(),
                 format!("{}", m.wall.as_nanos()),
                 format!("{:.3}", m.wall.as_secs_f64() * 1e3),
-                phase(m.phase_a_ns),
-                phase(m.phase_b_ns),
                 if m.cycles == 0 {
                     "-".into()
                 } else {
@@ -423,8 +269,6 @@ pub fn to_markdown(run: &PerfRun) -> String {
             "Workload",
             "median wall (ns)",
             "median wall (ms)",
-            "phase A (ms)",
-            "phase B (ms)",
             "sim cycles/s",
         ],
         &body,
@@ -440,11 +284,12 @@ pub fn to_markdown(run: &PerfRun) -> String {
 
 // ---- BENCH_sim.json ------------------------------------------------------
 
-/// Default location of the benchmark record: `BENCH_sim.json` at the repo
-/// root (two levels above this crate's manifest).
+/// Default location of the benchmark record: `BENCH_sim.json`, relative to
+/// the current working directory — never a path baked in at build time, so
+/// a binary run from another checkout writes to that checkout.
 #[must_use]
 pub fn default_bench_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sim.json")
+    PathBuf::from("BENCH_sim.json")
 }
 
 pub(crate) fn json_escape(s: &str) -> String {
@@ -474,12 +319,6 @@ fn render_run(run: &PerfRun) -> String {
     );
     for (i, m) in run.workloads.iter().enumerate() {
         let comma = if i + 1 < run.workloads.len() { "," } else { "" };
-        let shards = if m.phase_b_shard_ns.is_empty() {
-            String::new()
-        } else {
-            let joined: Vec<String> = m.phase_b_shard_ns.iter().map(u64::to_string).collect();
-            format!(", \"phase_b_shard_ns\": [{}]", joined.join(", "))
-        };
         let extras: String = m
             .extra
             .iter()
@@ -488,14 +327,11 @@ fn render_run(run: &PerfRun) -> String {
         let _ = writeln!(
             out,
             "        {{\"name\": \"{}\", \"wall_ns\": {}, \"cycles\": {}, \
-             \"cycles_per_sec\": {:.1}, \"phase_a_ns\": {}, \
-             \"phase_b_ns\": {}{shards}{extras}}}{comma}",
+             \"cycles_per_sec\": {:.1}{extras}}}{comma}",
             json_escape(&m.name),
             m.wall.as_nanos(),
             m.cycles,
             m.cycles_per_sec(),
-            m.phase_a_ns,
-            m.phase_b_ns
         );
     }
     out.push_str("      ]\n    }");
@@ -558,14 +394,16 @@ pub(crate) fn existing_runs(text: &str) -> Option<Vec<String>> {
 /// Schema history: 1 = per-workload `wall_ns`/`cycles`/`cycles_per_sec`;
 /// 2 adds `phase_a_ns`/`phase_b_ns` to simulator entries; 3 adds per-shard
 /// `phase_b_shard_ns` arrays to the sharded-memory (GCONx4) entries; 4 adds
-/// per-entry `extra` key/values — memory-footprint bytes, sampled-SM
-/// extrapolation cycles with their error bounds, and pinning A/B flags —
-/// emitted by the paper-scale tier and the pinned basket entries. Runs
-/// recorded under older schemas are preserved verbatim (the raw-text run
-/// extractor does not care about per-run fields), so a schema-4 document
-/// may contain runs without the newer keys.
+/// per-entry `extra` key/values — memory-footprint bytes and sampled-SM
+/// extrapolation cycles with their error bounds — emitted by the
+/// paper-scale tier; 5 drops the phase fields again. Schema 2–4 rows were
+/// timed with a per-cycle phase clock running, which roughly doubled the
+/// wall time they report; schema 5 rows are timed with no instrumentation.
+/// Runs recorded under older schemas are preserved verbatim (the raw-text
+/// run extractor does not care about per-run fields), so a schema-5
+/// document may contain runs with or without any of these keys.
 fn render_document(raw_runs: &[String]) -> String {
-    let mut out = String::from("{\n  \"schema\": 4,\n  \"runs\": [\n");
+    let mut out = String::from("{\n  \"schema\": 5,\n  \"runs\": [\n");
     for (i, r) in raw_runs.iter().enumerate() {
         // Re-indent preserved raw runs to the array's nesting level.
         let indented = if r.starts_with('{') && !r.starts_with("{\n") && !r.contains('\n') {
@@ -630,36 +468,17 @@ mod tests {
             label: label.into(),
             iters: 1,
             workloads: vec![
+                entry("a/off".into(), Duration::from_nanos(1000), 500),
                 Measurement {
-                    name: "a/off".into(),
-                    wall: Duration::from_nanos(1000),
-                    cycles: 500,
-                    phase_a_ns: 300,
-                    phase_b_ns: 600,
-                    phase_b_shard_ns: Vec::new(),
-                    extra: Vec::new(),
-                },
-                Measurement {
-                    name: "GCONx4/off/smt4/memt2".into(),
+                    name: "paper/RED/full/off/sampled5".into(),
                     wall: Duration::from_nanos(1500),
                     cycles: 800,
-                    phase_a_ns: 400,
-                    phase_b_ns: 900,
-                    phase_b_shard_ns: vec![120, 0, 340],
                     extra: vec![
-                        ("pinned", ExtraValue::U64(1)),
+                        ("extrapolated_cycles", ExtraValue::U64(300)),
                         ("error_bound_pct", ExtraValue::F64(4.25)),
                     ],
                 },
-                Measurement {
-                    name: "sweep".into(),
-                    wall: Duration::from_nanos(2500),
-                    cycles: 0,
-                    phase_a_ns: 0,
-                    phase_b_ns: 0,
-                    phase_b_shard_ns: Vec::new(),
-                    extra: Vec::new(),
-                },
+                entry("sweep".into(), Duration::from_nanos(2500), 0),
             ],
         }
     }
@@ -671,39 +490,42 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert!(runs[0].contains("\"label\": \"one\""));
         assert!(runs[0].contains("\"total_wall_ns\": 5000"));
-        assert!(runs[0].contains("\"phase_a_ns\": 300"));
-        // The shard split is emitted only for the entry that has one; the
-        // nested array must survive the bracket-aware re-extraction.
-        assert!(runs[0].contains("\"phase_b_shard_ns\": [120, 0, 340]"));
-        assert_eq!(runs[0].matches("phase_b_shard_ns").count(), 1);
-        // Schema-4 extras ride on the same entry, typed per value.
-        assert!(runs[0].contains("\"pinned\": 1, \"error_bound_pct\": 4.250"));
-        assert_eq!(runs[0].matches("pinned").count(), 1);
+        assert!(!runs[0].contains("phase_"), "schema 5 has no phase fields");
+        // Extras ride on their own entry only, typed per value.
+        assert!(runs[0].contains("\"extrapolated_cycles\": 300, \"error_bound_pct\": 4.250"));
+        assert_eq!(runs[0].matches("extrapolated_cycles").count(), 1);
         // Appending preserves the first run verbatim.
-        let mut raw = runs;
+        let mut raw = runs.clone();
         raw.push(render_run(&fake_run("two")));
         let doc2 = render_document(&raw);
         let runs2 = existing_runs(&doc2).expect("still parses");
         assert_eq!(runs2.len(), 2);
         assert!(runs2[0].contains("one") && runs2[1].contains("two"));
-        assert!(runs2[1].contains("\"phase_b_shard_ns\": [120, 0, 340]"));
+        assert_eq!(runs2[0], runs[0], "the first run is kept verbatim");
     }
 
     #[test]
-    fn schema1_documents_remain_appendable() {
+    fn older_schema_documents_remain_appendable() {
         let old = "{\n  \"schema\": 1,\n  \"runs\": [\n    {\"label\": \"legacy\", \
                    \"iters\": 1, \"total_wall_ns\": 5, \"workloads\": [\n        \
                    {\"name\": \"x\", \"wall_ns\": 5, \"cycles\": 1, \
-                   \"cycles_per_sec\": 0.2}\n      ]}\n  ]\n}\n";
-        let mut raw = existing_runs(old).expect("schema-1 document parses");
-        assert_eq!(raw.len(), 1);
+                   \"cycles_per_sec\": 0.2}\n      ]},\n    {\"label\": \"phased\", \
+                   \"iters\": 1, \"total_wall_ns\": 9, \"workloads\": [\n        \
+                   {\"name\": \"y\", \"wall_ns\": 9, \"cycles\": 2, \
+                   \"cycles_per_sec\": 0.2, \"phase_a_ns\": 4, \"phase_b_ns\": 5, \
+                   \"phase_b_shard_ns\": [1, 2]}\n      ]}\n  ]\n}\n";
+        let mut raw = existing_runs(old).expect("older document parses");
+        assert_eq!(raw.len(), 2);
         raw.push(render_run(&fake_run("new")));
         let doc = render_document(&raw);
-        assert!(doc.contains("\"schema\": 4"));
+        assert!(doc.contains("\"schema\": 5"));
         let runs = existing_runs(&doc).expect("upgraded document parses");
-        assert_eq!(runs.len(), 2);
+        assert_eq!(runs.len(), 3);
         assert!(runs[0].contains("legacy") && !runs[0].contains("phase_a_ns"));
-        assert!(runs[1].contains("phase_a_ns"));
+        // A phase-timed row is kept verbatim, nested shard array included.
+        assert!(runs[1].contains("\"phase_a_ns\": 4, \"phase_b_ns\": 5"));
+        assert!(runs[1].contains("\"phase_b_shard_ns\": [1, 2]"));
+        assert!(!runs[2].contains("phase_"));
     }
 
     #[test]
@@ -752,6 +574,11 @@ mod tests {
     }
 
     #[test]
+    fn default_bench_path_is_relative_to_the_working_directory() {
+        assert_eq!(default_bench_path(), Path::new("BENCH_sim.json"));
+    }
+
+    #[test]
     fn escape_handles_quotes_and_controls() {
         assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
     }
@@ -766,15 +593,7 @@ mod tests {
 
     #[test]
     fn cycles_per_sec_guards_zero() {
-        let m = Measurement {
-            name: "x".into(),
-            wall: Duration::from_secs(1),
-            cycles: 0,
-            phase_a_ns: 0,
-            phase_b_ns: 0,
-            phase_b_shard_ns: Vec::new(),
-            extra: Vec::new(),
-        };
+        let m = entry("x".into(), Duration::from_secs(1), 0);
         assert_eq!(m.cycles_per_sec(), 0.0);
         let m2 = Measurement {
             cycles: 1_000_000,

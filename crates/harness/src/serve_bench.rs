@@ -172,11 +172,13 @@ pub fn to_markdown(report: &LoadReport, probes: Option<&ProbeReport>) -> String 
 
 // ---- BENCH_serve.json ----------------------------------------------------
 
-/// Default location of the service benchmark record: `BENCH_serve.json` at
-/// the repo root (two levels above this crate's manifest).
+/// Default location of the service benchmark record: `BENCH_serve.json`,
+/// relative to the current working directory — never a path baked in at
+/// build time, so a binary run from another checkout writes to that
+/// checkout.
 #[must_use]
 pub fn default_bench_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json")
+    PathBuf::from("BENCH_serve.json")
 }
 
 fn render_run(label: &str, report: &LoadReport, probes: Option<&ProbeReport>) -> String {
@@ -381,6 +383,11 @@ mod tests {
     }
 
     #[test]
+    fn default_bench_path_is_relative_to_the_working_directory() {
+        assert_eq!(default_bench_path(), Path::new("BENCH_serve.json"));
+    }
+
+    #[test]
     fn record_roundtrips_through_the_shared_extractor() {
         let probes = ProbeReport {
             malformed: Ok(()),
@@ -423,34 +430,6 @@ mod tests {
             "the thread-per-connection era row must be byte-preserved"
         );
         assert!(runs[1].contains("\"thread_model\": \"reactor\""));
-    }
-
-    #[test]
-    fn small_connection_sweep_has_flat_thread_count() {
-        let rows = connection_sweep(&[8, 64], 8, 4, 200).expect("sweep runs");
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            assert_eq!(row.report.completed, 8, "active minority completes");
-            assert_eq!(
-                row.report.idle_connections, row.target as u64,
-                "small targets must not be fd-clamped"
-            );
-        }
-        // The reactor's signature: 8x the idle connections, same threads.
-        if rows[0].report.threads > 0 {
-            assert_eq!(
-                rows[0].report.threads, rows[1].report.threads,
-                "thread count must be independent of connection count"
-            );
-            assert!(
-                rows[1].report.open_fds >= rows[0].report.open_fds + 100,
-                "fd count tracks connections ({} vs {})",
-                rows[0].report.open_fds,
-                rows[1].report.open_fds
-            );
-        }
-        let md = sweep_to_markdown(&rows);
-        assert!(md.contains("traces/sec"));
     }
 
     #[test]

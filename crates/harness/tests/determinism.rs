@@ -7,19 +7,6 @@
 //! skipping on (the default) or off, every table renders byte-identically —
 //! the jump replicates exactly the per-cycle bookkeeping of the cycles it
 //! elides.
-//!
-//! And for the intra-simulation SM parallelism: with `sm_threads` 1
-//! (serial front end, the default) or 4, every table and race report is
-//! byte-identical — Phase A only fills per-SM request buffers that Phase B
-//! drains in fixed SM order, so the thread schedule never reaches the
-//! shared memory system or the detector.
-//!
-//! And for the sharded memory-side drain: with `mem_threads` 1 (inline,
-//! the default), 2, or 4 — crossed with `sm_threads` 1 and 4 — every table
-//! is byte-identical, because each shard only buffers its partition's
-//! externally visible effects (stat deltas, at most one response and one
-//! DRAM completion per cycle) and the serial merge replays them in
-//! ascending partition order, exactly the order the inline loop produced.
 
 use std::sync::Mutex;
 
@@ -53,65 +40,6 @@ fn with_and_without_skip<T>(f: impl Fn() -> T) -> (T, T) {
     scord_sim::set_cycle_skip(false);
     let ticking = f();
     (skipping, ticking)
-}
-
-/// Runs `f` twice — once with the SM front end serial (`sm_threads` 1),
-/// once on 4 threads — and returns both results. Same gating pattern as
-/// [`with_and_without_skip`]: the override is process-wide, a mutex
-/// serializes the A/B sections, and a drop guard clears the override even
-/// if `f` panics.
-fn with_sm_threads<T>(f: impl Fn() -> T) -> (T, T) {
-    static GATE: Mutex<()> = Mutex::new(());
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            scord_sim::set_sm_threads(0);
-        }
-    }
-    let _lock = GATE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let _restore = Restore;
-    scord_sim::set_sm_threads(0);
-    let serial = f();
-    scord_sim::set_sm_threads(4);
-    let threaded = f();
-    (serial, threaded)
-}
-
-/// Runs `f` at the process default (`sm_threads` 1 / `mem_threads` 1) and
-/// again at each `(sm_threads, mem_threads)` override in `combos`,
-/// returning the baseline plus one result per combo. Same gating pattern
-/// as the other override helpers: one mutex serializes every section that
-/// flips the process-wide thread overrides, and a drop guard clears both
-/// even if `f` panics. Shard counts above the config's channel count clamp
-/// to it inside the simulator, so combos like `(1, 4)` exercise however
-/// many shards the workload's config allows.
-fn with_thread_overrides<T>(combos: &[(u32, u32)], f: impl Fn() -> T) -> (T, Vec<T>) {
-    static GATE: Mutex<()> = Mutex::new(());
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            scord_sim::set_sm_threads(0);
-            scord_sim::set_mem_threads(0);
-        }
-    }
-    let _lock = GATE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let _restore = Restore;
-    scord_sim::set_sm_threads(0);
-    scord_sim::set_mem_threads(0);
-    let baseline = f();
-    let variants = combos
-        .iter()
-        .map(|&(sm, mem)| {
-            scord_sim::set_sm_threads(sm);
-            scord_sim::set_mem_threads(mem);
-            f()
-        })
-        .collect();
-    (baseline, variants)
 }
 
 #[test]
@@ -180,134 +108,6 @@ fn table6_quick_is_identical_with_and_without_cycle_skip() {
     assert_eq!(
         skipping, ticking,
         "table6 must not depend on the quiescence skip"
-    );
-}
-
-#[test]
-fn table1_is_identical_across_sm_threads() {
-    let (serial, threaded) = with_sm_threads(|| {
-        h::table1::to_markdown(&h::table1::run(Jobs::serial()).expect("suite simulates cleanly"))
-    });
-    assert_eq!(
-        serial, threaded,
-        "table1 must not depend on the SM thread count"
-    );
-}
-
-#[test]
-fn table6_quick_is_identical_across_sm_threads() {
-    let (serial, threaded) = with_sm_threads(|| {
-        h::table6::to_markdown(
-            &h::table6::run(true, Jobs::serial()).expect("quick workloads simulate cleanly"),
-        )
-    });
-    assert_eq!(
-        serial, threaded,
-        "table6 (race reports included) must not depend on the SM thread count"
-    );
-}
-
-#[test]
-fn fault_sweep_is_identical_across_sm_threads() {
-    let (serial, threaded) = with_sm_threads(|| {
-        h::faults::to_markdown(
-            &h::faults::sweep(
-                true,
-                7,
-                &[FaultKind::MetadataBitFlip, FaultKind::EventDrop],
-                &[100_000],
-                Jobs::serial(),
-            )
-            .expect("sweep infrastructure is clean"),
-        )
-    });
-    assert_eq!(
-        serial, threaded,
-        "fault audit (injected-fault RNG stream included) must not depend \
-         on the SM thread count"
-    );
-}
-
-#[test]
-fn captured_micro_traces_are_identical_across_sm_threads() {
-    // The differential audit's captured traces record every detector event
-    // a micro's simulation emits, so equality here is the strongest
-    // event-stream check: not just identical race totals but identical
-    // per-event order and content feeding the oracle.
-    let (serial, threaded) = with_sm_threads(|| {
-        let m = h::diff::micros(Jobs::serial()).expect("captured traces replay cleanly");
-        assert!(m.bugs.is_empty(), "unexplained divergence: {:?}", m.bugs);
-        h::diff::micros_to_markdown(&m)
-    });
-    assert_eq!(
-        serial, threaded,
-        "captured micro traces must not depend on the SM thread count"
-    );
-}
-
-#[test]
-fn table1_is_identical_across_mem_shards() {
-    let (baseline, variants) = with_thread_overrides(&[(1, 2), (4, 4)], || {
-        h::table1::to_markdown(&h::table1::run(Jobs::serial()).expect("suite simulates cleanly"))
-    });
-    for (i, v) in variants.iter().enumerate() {
-        assert_eq!(
-            &baseline, v,
-            "table1 must not depend on the memory shard count (combo {i})"
-        );
-    }
-}
-
-#[test]
-fn table6_quick_is_identical_across_mem_shards() {
-    let (baseline, variants) = with_thread_overrides(&[(1, 4), (4, 2)], || {
-        h::table6::to_markdown(
-            &h::table6::run(true, Jobs::serial()).expect("quick workloads simulate cleanly"),
-        )
-    });
-    for (i, v) in variants.iter().enumerate() {
-        assert_eq!(
-            &baseline, v,
-            "table6 (race reports included) must not depend on the memory \
-             shard count (combo {i})"
-        );
-    }
-}
-
-#[test]
-fn fault_sweep_is_identical_across_mem_shards() {
-    let (baseline, variants) = with_thread_overrides(&[(4, 4)], || {
-        h::faults::to_markdown(
-            &h::faults::sweep(
-                true,
-                7,
-                &[FaultKind::MetadataBitFlip, FaultKind::EventDrop],
-                &[100_000],
-                Jobs::serial(),
-            )
-            .expect("sweep infrastructure is clean"),
-        )
-    });
-    assert_eq!(
-        baseline, variants[0],
-        "fault audit (injected-fault RNG stream included) must not depend \
-         on the memory shard count"
-    );
-}
-
-#[test]
-fn captured_micro_traces_are_identical_across_mem_shards() {
-    // Strongest event-stream check for the sharded drain: the captured
-    // traces record every detector event in arrival order, so a shard
-    // merge that reordered responses by even one heap slot would diverge.
-    let (baseline, variants) = with_thread_overrides(&[(1, 4)], || {
-        let m = h::diff::micros(Jobs::serial()).expect("captured traces replay cleanly");
-        assert!(m.bugs.is_empty(), "unexplained divergence: {:?}", m.bugs);
-        h::diff::micros_to_markdown(&m)
-    });
-    assert_eq!(
-        baseline, variants[0],
-        "captured micro traces must not depend on the memory shard count"
     );
 }
 

@@ -13,8 +13,8 @@
 //! proxies that distinguish a reactor (threads independent of
 //! connections) from thread-per-connection.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Barrier;
 use std::time::Instant;
 
 use scord_core::FuzzConfig;
@@ -240,21 +240,30 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         .collect();
     let idle_held = idle.len() as u64;
 
-    let peak_threads = Arc::new(AtomicU64::new(0));
-    let peak_fds = Arc::new(AtomicU64::new(0));
+    // Footprint is sampled while every worker thread is alive and the
+    // idle swarm is still parked: each worker meets the sampler at this
+    // barrier once its traffic is done, and again before it exits. By then
+    // an in-process server has had the whole run to accept the swarm.
+    let sample_point = Barrier::new(concurrency + 1);
+    let mut footprint = (0, 0);
     let t0 = Instant::now();
     let tallies: Vec<Tally> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..concurrency)
             .map(|worker| {
                 let cfg = cfg.clone();
-                scope.spawn(move || run_worker(&cfg, worker, concurrency))
+                let sample_point = &sample_point;
+                scope.spawn(move || {
+                    let tally =
+                        catch_unwind(AssertUnwindSafe(|| run_worker(&cfg, worker, concurrency)));
+                    sample_point.wait();
+                    sample_point.wait();
+                    tally.unwrap_or_else(|payload| resume_unwind(payload))
+                })
             })
             .collect();
-        // Sample footprint while every worker thread is alive and the
-        // idle swarm is still parked.
-        let (threads, fds) = process_stats();
-        peak_threads.store(threads, Ordering::Relaxed);
-        peak_fds.store(fds, Ordering::Relaxed);
+        sample_point.wait();
+        footprint = process_stats();
+        sample_point.wait();
         handles
             .into_iter()
             .map(|h| h.join().expect("load client thread panicked"))
@@ -298,8 +307,8 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         p99_latency_ms: percentile(&sorted, 0.99),
         max_latency_ms: sorted.last().copied().unwrap_or(0.0),
         idle_connections: idle_held,
-        threads: peak_threads.load(Ordering::Relaxed),
-        open_fds: peak_fds.load(Ordering::Relaxed),
+        threads: footprint.0,
+        open_fds: footprint.1,
     }
 }
 

@@ -247,7 +247,7 @@ mod tests {
 
     /// An L2 slice's capacity is `l2_bytes / channels`, which for
     /// non-power-of-two channel counts (the paper default is 12; the
-    /// sharded-drain tests also use 7) yields an odd byte count and a
+    /// golden-stats test uses 7) yields an odd byte count and a
     /// non-power-of-two set count. Set indexing is modulo, not masking, so
     /// the tag/set round trip must stay lossless — a dirty victim's
     /// reconstructed writeback address has to be the line that was filled.

@@ -196,27 +196,6 @@ pub struct GpuConfig {
     /// debugging. Also gated process-wide by
     /// [`crate::set_cycle_skip`].
     pub cycle_skip: bool,
-    /// Host threads driving the parallel SM front-end phase (Phase A of
-    /// the two-phase tick — see the "Intra-sim parallelism" section of
-    /// DESIGN.md). `1` (the default) runs the front end inline on the
-    /// simulation thread; higher values fan the per-SM front ends out over
-    /// a persistent worker pool, capped at `num_sms`. Results are
-    /// byte-identical for every value: both settings run the same deferred
-    /// commit pipeline, and Phase B applies every shared-state effect
-    /// serially in fixed SM order. Raised process-wide by
-    /// [`crate::set_sm_threads`] (e.g. `run-experiments --sm-threads N`).
-    pub sm_threads: u32,
-    /// Host threads driving the sharded memory-side stage of Phase B (one
-    /// shard per L2 partition + DRAM channel — see the "Intra-sim
-    /// parallelism" section of DESIGN.md). `1` (the default) ticks the
-    /// partitions inline in ascending order; higher values fan the shards
-    /// out over the same worker pool as `sm_threads`, capped at
-    /// `channels`. Results are byte-identical for every value: each shard
-    /// only touches its own partition and buffers externally visible
-    /// effects, which a fixed-order merge applies exactly as the serial
-    /// drain would. Raised process-wide by [`crate::set_mem_threads`]
-    /// (e.g. `run-experiments --mem-threads N`).
-    pub mem_threads: u32,
     /// Sampled-SM mode: build only this many detailed SMs and model the
     /// remaining `num_sms − sample_sms` SMs' memory traffic statistically
     /// (ghost packets calibrated from the sampled set — see the
@@ -267,8 +246,6 @@ impl GpuConfig {
             detection_header_bytes: 8,
             fault: None,
             cycle_skip: true,
-            sm_threads: 1,
-            mem_threads: 1,
             sample_sms: 0,
         }
     }
@@ -366,16 +343,6 @@ impl GpuConfig {
         }
         if self.channels == 0 {
             return Err(Config("channels must be non-zero".into()));
-        }
-        if self.sm_threads == 0 {
-            return Err(Config(
-                "sm_threads must be at least 1 (1 = inline front end)".into(),
-            ));
-        }
-        if self.mem_threads == 0 {
-            return Err(Config(
-                "mem_threads must be at least 1 (1 = inline memory-side drain)".into(),
-            ));
         }
         if self.sample_sms > 0 && self.sample_sms >= self.num_sms {
             return Err(Config(format!(

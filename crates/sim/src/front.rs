@@ -1,43 +1,36 @@
-//! Phase A of the two-phase tick: the per-SM front end.
+//! The per-SM front end: the occupancy-bitmask prepass, the round-robin
+//! dual-issue loop, and warp execution.
 //!
-//! [`Gpu::tick`](crate::Gpu) splits each cycle in two. **Phase A** (this
-//! module) runs every SM's front end — the occupancy-bitmask prepass, the
-//! round-robin issue loop, and warp execution up to the point where
-//! global-memory and detector events are *generated*. It touches only
-//! SM-local state (`&mut Sm`, which owns its warps, blocks, L1 and NoC
-//! injection queue) plus an immutable shared context ([`FrontCtx`]), so
-//! the SMs can run concurrently on a worker pool. Every effect on shared
-//! machine state — functional memory, register writebacks from global
-//! loads, detector events, heap events, statistics, block retirement — is
-//! recorded into the SM's pre-allocated [`FrontBuf`] instead of applied.
+//! `Gpu::tick` runs [`sm_front`] once per SM per cycle, in ascending SM
+//! order, on the simulation thread. Every effect lands directly in machine
+//! state through [`FrontCtx`]: functional memory, register writebacks,
+//! detector events (consuming the fault-injection RNG stream in generation
+//! order), L1-hit response events, statistics and block retirement. An
+//! execution error aborts the launch at the instruction that raised it.
 //!
-//! **Phase B** (`Gpu::commit_front`) then drains the buffers serially in
-//! fixed SM order, replaying each SM's events in generation order. Because
-//! the replay order is a pure function of the simulation state (never of
-//! host thread scheduling), results are byte-identical for any
-//! `sm_threads` value — including the detector's fault-injection RNG
-//! stream, which is consumed at enqueue time in Phase B.
-//!
-//! The one front-end input that was cross-SM-coupled in the old
-//! single-phase tick is the L1-hit-detection (LHD) backpressure signal:
-//! it used to read the detector queue's *live* length, which included
-//! events enqueued by lower-numbered SMs earlier in the same cycle. The
-//! two-phase tick latches the signal once per cycle instead
-//! ([`FrontCtx::lhd_open`]) — the hardware-realistic registered
-//! backpressure wire — so every SM observes the same value regardless of
-//! execution order. See DESIGN.md "Intra-sim parallelism".
+//! The one front-end input that couples SMs within a cycle is the
+//! L1-hit-detection (LHD) backpressure signal. It is latched once per
+//! cycle, after block dispatch ([`FrontCtx::lhd_open`]) — the
+//! hardware-realistic registered backpressure wire — so an SM never sees
+//! detector-queue entries that a lower-numbered SM enqueued earlier in the
+//! same cycle. Every paper table is pinned to this latched signal.
 
-use scord_core::Accessor;
-use scord_isa::{Instr, Operand, Pc, Program, Reg, Scope, Space, SpecialReg};
+use scord_core::{AccessKind, Accessor, AtomKind, MemAccess};
+use scord_isa::{AtomOp, Instr, Operand, Pc, Program, Reg, Scope, Space, SpecialReg};
 
-use crate::gpu::Packet;
-use crate::{GpuConfig, OverheadToggles, SimError, SimStats, Sm, Warp, WarpState};
+use crate::gpu::{Ev, EventQueue, Packet};
+use crate::{
+    DetectorEvent, DetectorUnit, DeviceMemory, GpuConfig, OverheadToggles, SimError, SimStats, Sm,
+    Warp, WarpState,
+};
 
-/// Reusable per-access coalescing buffers. One warp memory instruction
-/// used to allocate fresh `Vec`s; these persist on the SM's [`FrontBuf`]
-/// and are cleared per access instead.
+/// Reusable per-access buffers. One warp memory instruction used to
+/// allocate fresh `Vec`s; these persist on the `Gpu` and are cleared per
+/// access instead.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
+    /// `(lane, byte address)` of every active lane.
+    pub lane_addrs: Vec<(u32, u64)>,
     /// Coalesced `(line address, lane mask)` transactions.
     pub line_lanes: Vec<(u64, u32)>,
     /// Transactions missing L1 (or bypassing it).
@@ -46,135 +39,37 @@ pub(crate) struct Scratch {
     pub l1_hits: Vec<u64>,
 }
 
-/// Statistics a front end accumulates locally during Phase A. All fields
-/// are commutative counters, so merging per-SM deltas into [`SimStats`]
-/// in any order gives the same totals (Phase B merges in SM order
-/// anyway, keeping even a hypothetical non-commutative field exact).
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FrontStats {
-    pub warp_instructions: u64,
-    pub thread_instructions: u64,
-    pub l1_hits: u64,
-    pub l1_misses: u64,
-    pub stall_memory: u64,
-    pub stall_barrier: u64,
-    pub stall_noc_full: u64,
-    pub stall_lhd: u64,
-}
-
-impl FrontStats {
-    /// Folds this SM's Phase-A deltas into the launch statistics.
-    pub fn apply(&self, stats: &mut SimStats) {
-        stats.warp_instructions += self.warp_instructions;
-        stats.thread_instructions += self.thread_instructions;
-        stats.l1_hits += self.l1_hits;
-        stats.l1_misses += self.l1_misses;
-        stats.stalls.memory += self.stall_memory;
-        stats.stalls.barrier += self.stall_barrier;
-        stats.stalls.noc_full += self.stall_noc_full;
-        stats.stalls.lhd += self.stall_lhd;
-    }
-}
-
-/// A global access issued in Phase A, committed in Phase B: functional
-/// memory, register writebacks, the detector `Access` event, and the
-/// L1-hit response events. Operand *values* are not captured — registers
-/// are stable between phases (a warp issues at most one instruction per
-/// cycle and register files are private per warp), so Phase B reads them
-/// exactly as the single-phase tick did.
-#[derive(Debug)]
-pub(crate) struct PendingAccess {
-    pub warp_slot: u8,
-    pub op: GlobalOp,
-    pub pc: Pc,
-    pub strong: bool,
-    pub who: Accessor,
-    /// `start..end` range into [`FrontBuf::lane_buf`].
-    pub lanes: (u32, u32),
-    /// L1-hit lines: the number of `WarpResponse` heap events Phase B
-    /// schedules at `now + l1_latency`.
-    pub l1_hits: u32,
-}
-
-/// One deferred shared-state effect, in generation order. Phase B replays
-/// the buffer front to back, so the detector observes events (and
-/// consumes fault-injection randomness) in exactly the order the old
-/// single-phase tick produced them.
-#[derive(Debug)]
-pub(crate) enum PendingEvent {
-    /// A warp armed its fence this cycle (prepass).
-    Fence { warp_slot: u8, scope: Scope },
-    /// A block's barrier released this cycle.
-    Barrier { block_slot: u8 },
-    /// A global memory instruction issued this cycle.
-    Access(PendingAccess),
-}
-
-/// Per-SM Phase-A output buffer. Pre-allocated once, cleared per cycle;
-/// steady-state simulation allocates nothing here.
-#[derive(Debug, Default)]
-pub(crate) struct FrontBuf {
-    /// Deferred effects in generation order.
-    pub events: Vec<PendingEvent>,
-    /// Flat `(lane, byte address)` storage; [`PendingAccess::lanes`]
-    /// ranges index into it.
-    pub lane_buf: Vec<(u32, u64)>,
-    /// This SM's Phase-A statistics deltas.
-    pub stats: FrontStats,
-    /// Blocks that finished this cycle (Phase B decrements `blocks_live`).
-    pub blocks_retired: u32,
-    /// A retirement freed resources: Phase B re-arms the dispatch hint.
-    pub dispatch: bool,
-    /// Deferred execution error; Phase B surfaces it after applying this
-    /// SM's earlier (fully-committed) events, matching the single-phase
-    /// abort point.
-    pub error: Option<SimError>,
-    /// Per-access coalescing scratch.
-    pub scratch: Scratch,
-}
-
-impl FrontBuf {
-    /// Clears the per-cycle state (capacity retained).
-    pub fn begin_cycle(&mut self) {
-        self.events.clear();
-        self.lane_buf.clear();
-        self.stats = FrontStats::default();
-        self.blocks_retired = 0;
-        self.dispatch = false;
-        self.error = None;
-    }
-}
-
-/// Immutable shared context for one Phase A pass. Everything a front end
-/// may read that is not owned by its `Sm`; nothing here is written during
-/// Phase A, which is what makes the per-SM fan-out sound.
+/// Everything a front end reads or writes that its `Sm` does not own.
 pub(crate) struct FrontCtx<'a> {
     pub cfg: &'a GpuConfig,
     pub program: &'a Program,
     pub params: &'a [u32],
     pub now: u64,
-    /// Device-memory size for bounds checks (the contents are only
-    /// touched in Phase B).
-    pub mem_bytes: u64,
     pub grid_blocks: u32,
     pub threads_per_block: u32,
-    /// A detector is attached (events must be generated).
-    pub detect: bool,
     /// The cycle-latched LHD backpressure signal: `true` when the
     /// detector queue accepted L1-hit packets at the start of this cycle
     /// (or no detector is attached).
     pub lhd_open: bool,
     pub toggles: OverheadToggles,
+    pub mem: &'a mut DeviceMemory,
+    pub detector: Option<&'a mut DetectorUnit>,
+    pub events: &'a mut EventQueue,
+    pub stats: &'a mut SimStats,
+    pub scratch: &'a mut Scratch,
+    /// Resident blocks machine-wide; a retiring block decrements it.
+    pub blocks_live: &'a mut u32,
+    /// Block dispatch re-arm: set when a retirement frees resources.
+    pub dispatch_hint: &'a mut bool,
 }
 
-pub(crate) enum Outcome {
+enum Outcome {
     Issued,
     Stalled,
     Exited,
 }
 
-/// A warp memory instruction bound for global memory, carried from issue
-/// (Phase A) to commit (Phase B).
+/// A warp memory instruction bound for global memory.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum GlobalOp {
     Load {
@@ -186,7 +81,7 @@ pub(crate) enum GlobalOp {
         strong: bool,
     },
     Atomic {
-        op: scord_isa::AtomOp,
+        op: AtomOp,
         dst: Option<Reg>,
         val: Operand,
         cmp: Operand,
@@ -195,23 +90,22 @@ pub(crate) enum GlobalOp {
 }
 
 /// Iterates the set lane indices of a mask.
-pub(crate) fn lanes(mask: u32) -> impl Iterator<Item = u32> {
+fn lanes(mask: u32) -> impl Iterator<Item = u32> {
     (0..32).filter(move |i| mask & (1 << i) != 0)
 }
 
 /// Runs one SM's complete front end for this cycle: prepass, then the
-/// dual-issue loop. All shared-state effects land in `sm.front`.
-pub(crate) fn sm_front(ctx: &FrontCtx, sm: &mut Sm) {
-    sm.front.begin_cycle();
+/// dual-issue loop.
+pub(crate) fn sm_front(ctx: &mut FrontCtx, sm: &mut Sm) -> Result<(), SimError> {
     prepass(ctx, sm);
-    issue(ctx, sm);
+    issue(ctx, sm)
 }
 
 /// Cheap per-cycle state progression: fence completion, drained exits,
 /// stall accounting. Iterates the occupancy bitmask rather than every
 /// slot; the snapshot may go stale when a retirement mid-loop clears a
 /// later bit, so each slot is still re-checked for residency.
-fn prepass(ctx: &FrontCtx, sm: &mut Sm) {
+fn prepass(ctx: &mut FrontCtx, sm: &mut Sm) {
     let mut occ = sm.occupied;
     while occ != 0 {
         let idx = occ.trailing_zeros() as usize;
@@ -228,15 +122,16 @@ fn prepass(ctx: &FrontCtx, sm: &mut Sm) {
                     Scope::Block => ctx.cfg.fence_block_latency,
                     Scope::Device => ctx.cfg.fence_device_latency,
                 };
-                let warp_slot = w.warp_slot;
                 w.state = WarpState::WaitFence {
                     end: Some(ctx.now + u64::from(latency)),
                     scope,
                 };
-                if ctx.detect {
-                    sm.front
-                        .events
-                        .push(PendingEvent::Fence { warp_slot, scope });
+                if let Some(det) = ctx.detector.as_mut() {
+                    det.enqueue(DetectorEvent::Fence {
+                        sm: sm.id,
+                        warp_slot: w.warp_slot,
+                        scope,
+                    });
                 }
             }
             WarpState::WaitFence {
@@ -246,14 +141,14 @@ fn prepass(ctx: &FrontCtx, sm: &mut Sm) {
                 w.state = WarpState::Ready { at: ctx.now };
             }
             WarpState::WaitMem => {
-                sm.front.stats.stall_memory += 1;
+                ctx.stats.stalls.memory += 1;
                 // A draining exited warp: retire once all traffic landed.
                 if w.pending_loads == 0 && w.outstanding_stores == 0 && w.is_done() {
                     retire_block = Some(w.block_index);
                     w.state = WarpState::Done;
                 }
             }
-            WarpState::WaitBarrier => sm.front.stats.stall_barrier += 1,
+            WarpState::WaitBarrier => ctx.stats.stalls.barrier += 1,
             _ => {}
         }
         if let Some(bidx) = retire_block {
@@ -262,9 +157,8 @@ fn prepass(ctx: &FrontCtx, sm: &mut Sm) {
     }
 }
 
-/// The rotated-occupancy-mask dual-issue loop (issue order and round-robin
-/// evolution identical to the single-phase scheduler).
-fn issue(ctx: &FrontCtx, sm: &mut Sm) {
+/// The rotated-occupancy-mask dual-issue loop.
+fn issue(ctx: &mut FrontCtx, sm: &mut Sm) -> Result<(), SimError> {
     let nw = sm.warps.len();
     let slot_mask = (1u64 << nw) - 1;
     let mut issued = 0;
@@ -299,31 +193,26 @@ fn issue(ctx: &FrontCtx, sm: &mut Sm) {
         let outcome = exec_warp(ctx, sm, &mut warp);
         let block_index = warp.block_index;
         sm.warps[idx] = Some(warp);
-        match outcome {
-            Ok(Outcome::Issued) => {
+        match outcome? {
+            Outcome::Issued => {
                 issued += 1;
                 sm.rr = idx + 1;
             }
-            Ok(Outcome::Stalled) => {}
-            Ok(Outcome::Exited) => {
+            Outcome::Stalled => {}
+            Outcome::Exited => {
                 issued += 1;
                 sm.rr = idx + 1;
                 try_retire_warp(ctx, sm, idx, block_index);
             }
-            Err(e) => {
-                // Defer: Phase B applies this SM's earlier events, then
-                // aborts the launch — the single-phase abort point.
-                sm.front.error = Some(e);
-                return;
-            }
         }
     }
+    Ok(())
 }
 
 /// Retires a `Done` warp, completing its block when it was the last one.
 /// A warp still draining memory traffic stays resident (as `WaitMem`);
 /// the prepass retries once its responses land.
-fn try_retire_warp(ctx: &FrontCtx, sm: &mut Sm, idx: usize, block_index: usize) {
+fn try_retire_warp(ctx: &mut FrontCtx, sm: &mut Sm, idx: usize, block_index: usize) {
     let ready = matches!(
         sm.warps[idx].as_ref(),
         Some(w) if matches!(w.state, WarpState::Done)
@@ -348,7 +237,7 @@ fn try_retire_warp(ctx: &FrontCtx, sm: &mut Sm, idx: usize, block_index: usize) 
     }
 }
 
-fn release_barrier(ctx: &FrontCtx, sm: &mut Sm, block_index: usize) {
+fn release_barrier(ctx: &mut FrontCtx, sm: &mut Sm, block_index: usize) {
     let (slots, block_slot_global) = {
         let block = sm.blocks[block_index].as_mut().expect("resident");
         block.barrier_arrived = 0;
@@ -361,14 +250,15 @@ fn release_barrier(ctx: &FrontCtx, sm: &mut Sm, block_index: usize) {
             }
         }
     }
-    if ctx.detect {
-        sm.front.events.push(PendingEvent::Barrier {
+    if let Some(det) = ctx.detector.as_mut() {
+        det.enqueue(DetectorEvent::Barrier {
+            sm: sm.id,
             block_slot: block_slot_global,
         });
     }
 }
 
-fn finish_block(ctx: &FrontCtx, sm: &mut Sm, block_index: usize) {
+fn finish_block(ctx: &mut FrontCtx, sm: &mut Sm, block_index: usize) {
     let block = sm.blocks[block_index].take().expect("resident");
     let regs = u32::from(ctx.program.num_regs()) * ctx.threads_per_block;
     for slot in block.warp_slots {
@@ -377,23 +267,23 @@ fn finish_block(ctx: &FrontCtx, sm: &mut Sm, block_index: usize) {
     }
     sm.free_regs += regs;
     sm.free_shared += ctx.program.shared_bytes();
-    sm.front.blocks_retired += 1;
-    sm.front.dispatch = true;
+    *ctx.blocks_live -= 1;
+    *ctx.dispatch_hint = true;
 }
 
-fn count_issue(stats: &mut FrontStats, mask: u32) {
+fn count_issue(stats: &mut SimStats, mask: u32) {
     stats.warp_instructions += 1;
     stats.thread_instructions += u64::from(mask.count_ones());
 }
 
-fn complete_alu(ctx: &FrontCtx, sm: &mut Sm, warp: &mut Warp, mask: u32) {
+fn complete_alu(ctx: &mut FrontCtx, warp: &mut Warp, mask: u32) {
     warp.advance();
     warp.state = WarpState::Ready { at: ctx.now + 1 };
-    count_issue(&mut sm.front.stats, mask);
+    count_issue(ctx.stats, mask);
 }
 
 #[allow(clippy::too_many_lines)]
-fn exec_warp(ctx: &FrontCtx, sm: &mut Sm, warp: &mut Warp) -> Result<Outcome, SimError> {
+fn exec_warp(ctx: &mut FrontCtx, sm: &mut Sm, warp: &mut Warp) -> Result<Outcome, SimError> {
     let Some((pc, mask)) = warp.fetch() else {
         warp.state = WarpState::Done;
         return Ok(Outcome::Exited);
@@ -409,7 +299,7 @@ fn exec_warp(ctx: &FrontCtx, sm: &mut Sm, warp: &mut Warp) -> Result<Outcome, Si
                 let v = warp.operand(lane, src);
                 warp.set_reg(lane, dst, v);
             }
-            complete_alu(ctx, sm, warp, mask);
+            complete_alu(ctx, warp, mask);
         }
         Instr::Alu { op, dst, a, b } => {
             for lane in lanes(mask) {
@@ -417,7 +307,7 @@ fn exec_warp(ctx: &FrontCtx, sm: &mut Sm, warp: &mut Warp) -> Result<Outcome, Si
                 let vb = warp.operand(lane, b);
                 warp.set_reg(lane, dst, op.eval(va, vb));
             }
-            complete_alu(ctx, sm, warp, mask);
+            complete_alu(ctx, warp, mask);
         }
         Instr::Special { dst, sreg } => {
             for lane in lanes(mask) {
@@ -431,14 +321,14 @@ fn exec_warp(ctx: &FrontCtx, sm: &mut Sm, warp: &mut Warp) -> Result<Outcome, Si
                 };
                 warp.set_reg(lane, dst, v);
             }
-            complete_alu(ctx, sm, warp, mask);
+            complete_alu(ctx, warp, mask);
         }
         Instr::LdParam { dst, index } => {
             let v = ctx.params[usize::from(index)];
             for lane in lanes(mask) {
                 warp.set_reg(lane, dst, v);
             }
-            complete_alu(ctx, sm, warp, mask);
+            complete_alu(ctx, warp, mask);
         }
         Instr::Ld {
             dst,
@@ -462,7 +352,7 @@ fn exec_warp(ctx: &FrontCtx, sm: &mut Sm, warp: &mut Warp) -> Result<Outcome, Si
             warp.state = WarpState::Ready {
                 at: ctx.now + u64::from(ctx.cfg.shared_latency),
             };
-            count_issue(&mut sm.front.stats, mask);
+            count_issue(ctx.stats, mask);
         }
         Instr::St {
             src,
@@ -487,7 +377,7 @@ fn exec_warp(ctx: &FrontCtx, sm: &mut Sm, warp: &mut Warp) -> Result<Outcome, Si
             }
             warp.advance();
             warp.state = WarpState::Ready { at: ctx.now + 1 };
-            count_issue(&mut sm.front.stats, mask);
+            count_issue(ctx.stats, mask);
         }
         Instr::Ld {
             dst,
@@ -548,7 +438,7 @@ fn exec_warp(ctx: &FrontCtx, sm: &mut Sm, warp: &mut Warp) -> Result<Outcome, Si
         Instr::Fence { scope } => {
             warp.advance();
             warp.state = WarpState::WaitFence { end: None, scope };
-            count_issue(&mut sm.front.stats, mask);
+            count_issue(ctx.stats, mask);
         }
         Instr::Bar => {
             if !warp.converged() {
@@ -556,7 +446,7 @@ fn exec_warp(ctx: &FrontCtx, sm: &mut Sm, warp: &mut Warp) -> Result<Outcome, Si
             }
             warp.advance();
             warp.state = WarpState::WaitBarrier;
-            count_issue(&mut sm.front.stats, mask);
+            count_issue(ctx.stats, mask);
             let (arrived, live) = {
                 let block = sm.blocks[warp.block_index]
                     .as_mut()
@@ -590,16 +480,16 @@ fn exec_warp(ctx: &FrontCtx, sm: &mut Sm, warp: &mut Warp) -> Result<Outcome, Si
             }
             warp.branch(taken, target, pc + 1, reconv);
             warp.state = WarpState::Ready { at: ctx.now + 1 };
-            count_issue(&mut sm.front.stats, mask);
+            count_issue(ctx.stats, mask);
         }
         Instr::Jump { target } => {
             warp.jump(target);
             warp.state = WarpState::Ready { at: ctx.now + 1 };
-            count_issue(&mut sm.front.stats, mask);
+            count_issue(ctx.stats, mask);
         }
         Instr::Exit => {
             warp.exit_lanes(mask);
-            count_issue(&mut sm.front.stats, mask);
+            count_issue(ctx.stats, mask);
             if warp.is_done() {
                 if warp.pending_loads == 0 && warp.outstanding_stores == 0 {
                     warp.state = WarpState::Done;
@@ -613,21 +503,20 @@ fn exec_warp(ctx: &FrontCtx, sm: &mut Sm, warp: &mut Warp) -> Result<Outcome, Si
         Instr::Nop => {
             warp.advance();
             warp.state = WarpState::Ready { at: ctx.now + 1 };
-            count_issue(&mut sm.front.stats, mask);
+            count_issue(ctx.stats, mask);
         }
     }
     Ok(Outcome::Issued)
 }
 
 /// Issues one global memory instruction: stall checks, lane gather with
-/// bounds checks, coalescing, L1 classification and all SM-local timing
-/// (L1 LRU/invalidate, NoC queue, pending-load/store counters, warp
-/// state). The shared-state half — functional memory, register
-/// writebacks, the detector event, the L1-hit response events — is
-/// buffered as a [`PendingAccess`] for Phase B.
+/// bounds checks, coalescing, L1 classification, the timing side (L1
+/// LRU/invalidate, NoC queue, pending-load/store counters, warp state),
+/// then the functional side — memory, register writebacks, the detector
+/// `Access` event and the L1-hit response events.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 fn exec_global(
-    ctx: &FrontCtx,
+    ctx: &mut FrontCtx,
     sm: &mut Sm,
     warp: &mut Warp,
     pc: Pc,
@@ -652,74 +541,60 @@ fn exec_global(
     // when the queue drains rather than during the stall — identical
     // outcome for every program that does not abort.)
     if !use_l1 && !sm.out_queue.is_empty() && sm.out_queue.len() + 1 > ctx.cfg.noc_queue {
-        sm.front.stats.stall_noc_full += 1;
+        ctx.stats.stalls.noc_full += 1;
         warp.state = WarpState::Ready { at: ctx.now + 1 };
         return Ok(Outcome::Stalled);
     }
 
-    // Gather lane addresses into the deferred-commit lane buffer and
-    // coalesce into lines.
-    let lane_start = sm.front.lane_buf.len();
+    // Gather lane addresses and coalesce into lines.
+    let scratch = &mut *ctx.scratch;
+    scratch.lane_addrs.clear();
+    let mem_bytes = ctx.mem.bytes();
     for lane in lanes(mask) {
         let a = u64::from(addr.resolve(warp.reg(lane, addr.base)));
-        if a % 4 != 0 || a + 4 > ctx.mem_bytes {
-            sm.front.lane_buf.truncate(lane_start);
+        if a % 4 != 0 || a + 4 > mem_bytes {
             return Err(SimError::AddressOutOfBounds { addr: a, pc });
         }
-        sm.front.lane_buf.push((lane, a));
+        scratch.lane_addrs.push((lane, a));
     }
     let line_mask = u64::from(ctx.cfg.line_bytes - 1);
-    sm.front.scratch.line_lanes.clear();
-    for &(lane, a) in &sm.front.lane_buf[lane_start..] {
+    scratch.line_lanes.clear();
+    for &(lane, a) in &scratch.lane_addrs {
         let line = a & !line_mask;
-        match sm
-            .front
-            .scratch
-            .line_lanes
-            .iter_mut()
-            .find(|(l, _)| *l == line)
-        {
+        match scratch.line_lanes.iter_mut().find(|(l, _)| *l == line) {
             Some((_, lm)) => *lm |= 1 << lane,
-            None => sm.front.scratch.line_lanes.push((line, 1 << lane)),
+            None => scratch.line_lanes.push((line, 1 << lane)),
         }
     }
 
     // L1 classification (weak loads only).
-    let mut hit_lines = 0usize;
-    sm.front.scratch.to_l2.clear();
-    sm.front.scratch.l1_hits.clear();
-    for &(line, lm) in &sm.front.scratch.line_lanes {
+    scratch.to_l2.clear();
+    scratch.l1_hits.clear();
+    for &(line, lm) in &scratch.line_lanes {
         if use_l1 && sm.l1.probe(line) {
-            hit_lines += 1;
-            sm.front.scratch.l1_hits.push(line);
+            scratch.l1_hits.push(line);
         } else {
-            sm.front.scratch.to_l2.push((line, lm));
+            scratch.to_l2.push((line, lm));
         }
     }
 
     // Stall checks (nothing committed yet). The queue capacity is a
     // high-water mark: a fully-scattered access (up to 32 lines) may
     // overflow an *empty* queue, otherwise it could never issue.
-    if !sm.out_queue.is_empty()
-        && sm.out_queue.len() + sm.front.scratch.to_l2.len() > ctx.cfg.noc_queue
-    {
-        sm.front.lane_buf.truncate(lane_start);
-        sm.front.stats.stall_noc_full += 1;
+    if !sm.out_queue.is_empty() && sm.out_queue.len() + scratch.to_l2.len() > ctx.cfg.noc_queue {
+        ctx.stats.stalls.noc_full += 1;
         warp.state = WarpState::Ready { at: ctx.now + 1 };
         return Ok(Outcome::Stalled);
     }
-    if ctx.detect {
-        let pure_l1_hit = use_l1 && sm.front.scratch.to_l2.is_empty() && hit_lines > 0;
-        if pure_l1_hit && ctx.toggles.lhd && !ctx.lhd_open {
-            sm.front.lane_buf.truncate(lane_start);
-            sm.front.stats.stall_lhd += 1;
-            warp.state = WarpState::Ready { at: ctx.now + 1 };
-            return Ok(Outcome::Stalled);
-        }
+    let pure_l1_hit = use_l1 && scratch.to_l2.is_empty() && !scratch.l1_hits.is_empty();
+    if ctx.detector.is_some() && pure_l1_hit && ctx.toggles.lhd && !ctx.lhd_open {
+        ctx.stats.stalls.lhd += 1;
+        warp.state = WarpState::Ready { at: ctx.now + 1 };
+        return Ok(Outcome::Stalled);
     }
 
-    // ---- commit (SM-local half; the rest is deferred) -----------------
-    count_issue(&mut sm.front.stats, mask);
+    // ---- timing side ---------------------------------------------------
+    count_issue(ctx.stats, mask);
     let who = Accessor {
         sm: sm.id,
         block_slot: sm.blocks[warp.block_index]
@@ -733,23 +608,19 @@ fn exec_global(
         op,
         GlobalOp::Load { .. } | GlobalOp::Atomic { dst: Some(_), .. }
     );
-    let mut l1_hit_count = 0u32;
-    for i in 0..sm.front.scratch.l1_hits.len() {
-        let line = sm.front.scratch.l1_hits[i];
+    for &line in &scratch.l1_hits {
         let _ = sm.l1.access(line, false, false);
-        sm.front.stats.l1_hits += 1;
+        ctx.stats.l1_hits += 1;
         warp.pending_loads += 1;
-        l1_hit_count += 1;
     }
     let hdr = if ctx.toggles.noc {
         ctx.cfg.detection_header_bytes
     } else {
         0
     };
-    for i in 0..sm.front.scratch.to_l2.len() {
-        let (line, lm) = sm.front.scratch.to_l2[i];
+    for &(line, lm) in &scratch.to_l2 {
         if use_l1 {
-            sm.front.stats.l1_misses += 1;
+            ctx.stats.l1_misses += 1;
         }
         if is_store && !is_atomic {
             sm.l1.invalidate(line); // global write-evict
@@ -785,15 +656,72 @@ fn exec_global(
             ghost: false,
         });
     }
-    sm.front.events.push(PendingEvent::Access(PendingAccess {
-        warp_slot: warp.warp_slot,
-        op,
-        pc,
-        strong,
-        who,
-        lanes: (lane_start as u32, sm.front.lane_buf.len() as u32),
-        l1_hits: l1_hit_count,
-    }));
+
+    // ---- functional side -----------------------------------------------
+    // The lane-access list is only materialized when a detector will
+    // consume it, and its buffer is recycled through the detector unit's
+    // spare pool rather than allocated per instruction.
+    let mut accesses: Option<Vec<MemAccess>> = ctx.detector.as_mut().map(|det| {
+        let mut v = det.take_spare();
+        v.reserve(scratch.lane_addrs.len());
+        v
+    });
+    for &(lane, a) in &scratch.lane_addrs {
+        let kind = match op {
+            GlobalOp::Load { dst, .. } => {
+                warp.set_reg(lane, dst, ctx.mem.read_word(a));
+                AccessKind::Load
+            }
+            GlobalOp::Store { src, .. } => {
+                ctx.mem.write_word(a, warp.operand(lane, src));
+                AccessKind::Store
+            }
+            GlobalOp::Atomic {
+                op: aop,
+                dst,
+                val,
+                cmp,
+                scope,
+            } => {
+                let old = ctx.mem.read_word(a);
+                let v = warp.operand(lane, val);
+                let c = warp.operand(lane, cmp);
+                ctx.mem.write_word(a, aop.apply(old, v, c));
+                if let Some(d) = dst {
+                    warp.set_reg(lane, d, old);
+                }
+                let kind = match aop {
+                    AtomOp::Cas => AtomKind::Cas,
+                    AtomOp::Exch => AtomKind::Exch,
+                    _ => AtomKind::Other,
+                };
+                AccessKind::Atomic { kind, scope }
+            }
+        };
+        if let Some(accesses) = &mut accesses {
+            accesses.push(MemAccess {
+                kind,
+                addr: a,
+                strong,
+                pc,
+                who,
+            });
+        }
+    }
+    if let (Some(det), Some(accesses)) = (ctx.detector.as_mut(), accesses) {
+        det.enqueue(DetectorEvent::Access { accesses });
+    }
+    for _ in &scratch.l1_hits {
+        ctx.events.push(
+            ctx.now + u64::from(ctx.cfg.l1_latency),
+            Ev::WarpResponse {
+                sm: usize::from(sm.id),
+                warp: usize::from(warp.warp_slot),
+                is_store_ack: false,
+                l1_fill: None,
+            },
+        );
+    }
 
     warp.advance();
     warp.state = if warp.pending_loads > 0 {

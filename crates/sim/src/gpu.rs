@@ -6,14 +6,12 @@ use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
-use scord_core::{AccessKind, AtomKind, MemAccess, RaceLog, ScordDetector, Trace};
-use scord_isa::{AtomOp, Pc, Program};
-use scord_pool::WorkerPool;
+use scord_core::{RaceLog, ScordDetector, Trace};
+use scord_isa::{Pc, Program};
 
-use crate::front::{self, FrontCtx, GlobalOp, PendingAccess, PendingEvent};
-use crate::memside::{MemCtx, Partition};
+use crate::front::{self, FrontCtx, Scratch};
+use crate::memside::Partition;
 use crate::sample::{SampleModel, SampleReport};
 use crate::{
     Cache, DetectorEvent, DetectorUnit, DeviceMemory, DramRequest, GpuConfig, SimStats, Sm,
@@ -56,7 +54,7 @@ pub struct Packet {
 }
 
 #[derive(Debug)]
-enum Ev {
+pub(crate) enum Ev {
     /// A memory response reaching a warp.
     WarpResponse {
         sm: usize,
@@ -93,12 +91,55 @@ impl Ord for HeapItem {
     }
 }
 
+/// The timed event heap. Events due at the same cycle fire in push order
+/// (the `seq` tiebreak), so results depend only on the order the
+/// simulation pushes them.
+#[derive(Debug, Default)]
+pub(crate) struct EventQueue {
+    heap: BinaryHeap<HeapItem>,
+    seq: u64,
+}
+
+impl EventQueue {
+    /// Schedules `ev` to fire at cycle `time`.
+    pub(crate) fn push(&mut self, time: u64, ev: Ev) {
+        self.seq += 1;
+        self.heap.push(HeapItem {
+            time,
+            seq: self.seq,
+            ev,
+        });
+    }
+
+    /// Pops the earliest event due at or before `now`.
+    fn pop_due(&mut self, now: u64) -> Option<Ev> {
+        if self.heap.peek()?.time > now {
+            return None;
+        }
+        self.heap.pop().map(|item| item.ev)
+    }
+
+    /// Cycle of the earliest pending event.
+    fn next_time(&self) -> Option<u64> {
+        self.heap.peek().map(|item| item.time)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.seq = 0;
+    }
+}
+
 /// Line-address → L2 partition / DRAM channel mapping: addresses are
 /// striped across partitions by 128-byte line. The single source of truth —
 /// the NoC router, the detector's metadata writeback path, and the
 /// quiescence scan's head-of-line probe must all agree, or a packet could
-/// be routed to one shard while the skip logic watches another and sleeps
-/// through its arrival.
+/// be routed to one partition while the skip logic watches another and
+/// sleeps through its arrival.
 pub(crate) fn partition_of(cfg: &GpuConfig, line_addr: u64) -> usize {
     ((line_addr / u64::from(cfg.line_bytes)) % u64::from(cfg.channels)) as usize
 }
@@ -198,8 +239,7 @@ pub struct Gpu {
     parts: Vec<Partition>,
     detector: Option<DetectorUnit>,
     stats: SimStats,
-    heap: BinaryHeap<HeapItem>,
-    seq: u64,
+    events: EventQueue,
     now: u64,
     max_cycles: u64,
     // Per-launch state. `Arc` (not `Rc`) keeps the whole `Gpu` `Send`, so
@@ -212,27 +252,8 @@ pub struct Gpu {
     next_block: u32,
     blocks_live: u32,
     noc_rr: usize,
-    /// Worker pool shared by the parallel SM front-end phase and the
-    /// sharded memory-side stage. `None` when both effective thread counts
-    /// are 1: everything then runs inline, through the identical per-SM /
-    /// per-shard code paths (see [`crate::front`] and [`crate::memside`]).
-    pool: Option<WorkerPool>,
-    /// Effective `sm_threads` (1 = inline serial front ends).
-    sm_eff: u32,
-    /// Effective `mem_threads` (1 = inline serial memory-side drain).
-    mem_eff: u32,
-    /// Reused buffer for the parallel [`Gpu::next_wake`] reduction (one
-    /// slot per SM followed by one per partition).
-    wake_scratch: Vec<u64>,
-    /// Per-cycle Phase A / Phase B wall-time accounting. Off by default —
-    /// two clock reads per cycle are measurable on the hot path — and purely
-    /// diagnostic: simulation results are unaffected.
-    phase_timing: bool,
-    phase_a_nanos: u64,
-    phase_b_nanos: u64,
-    /// Per-shard memory-side wall time (one slot per partition), a subset
-    /// of `phase_b_nanos`. Zeros unless phase timing is on.
-    shard_b_nanos: Vec<u64>,
+    /// Per-access coalescing buffers, reused across instructions.
+    scratch: Scratch,
     /// `true` while next cycle's block dispatch might place a block: set at
     /// launch and whenever a block retires (freeing resources), kept set
     /// while a dispatch pass places anything (the pass is capped at one
@@ -332,33 +353,13 @@ impl Gpu {
             })
             .collect();
         let parts: Vec<Partition> = (0..cfg.channels).map(|_| Partition::new(&cfg)).collect();
-        // Effective parallelism: each config knob, raised by its
-        // process-wide override, capped at one thread per SM (front ends)
-        // or per partition (memory shards). Sampled here so flipping an
-        // override mid-run cannot affect a live `Gpu`. One pool serves both
-        // phases — they never overlap within a cycle — sized for the wider
-        // fan-out.
-        let sm_eff = cfg
-            .sm_threads
-            .max(crate::sm_threads_override())
-            .min(detailed_sms)
-            .max(1);
-        let mem_eff = cfg
-            .mem_threads
-            .max(crate::mem_threads_override())
-            .min(cfg.channels)
-            .max(1);
-        let threads = sm_eff.max(mem_eff);
-        let pool = (threads > 1).then(|| WorkerPool::new(threads as usize));
-        let shard_b_nanos = vec![0; parts.len()];
         Ok(Gpu {
             mem: DeviceMemory::new(cfg.mem_bytes),
             sms,
             parts,
             detector,
             stats: SimStats::default(),
-            heap: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::default(),
             now: 0,
             max_cycles: 200_000_000,
             cfg,
@@ -370,14 +371,7 @@ impl Gpu {
             next_block: 0,
             blocks_live: 0,
             noc_rr: 0,
-            pool,
-            sm_eff,
-            mem_eff,
-            wake_scratch: Vec::new(),
-            phase_timing: false,
-            phase_a_nanos: 0,
-            phase_b_nanos: 0,
-            shard_b_nanos,
+            scratch: Scratch::default(),
             dispatch_hint: true,
             sample,
         })
@@ -405,44 +399,6 @@ impl Gpu {
         self.max_cycles = cycles;
     }
 
-    /// Effective SM front-end thread count (1 = inline serial front ends).
-    #[must_use]
-    pub fn sm_threads(&self) -> u32 {
-        self.sm_eff
-    }
-
-    /// Effective memory-side shard thread count (1 = inline serial drain in
-    /// ascending partition order).
-    #[must_use]
-    pub fn mem_threads(&self) -> u32 {
-        self.mem_eff
-    }
-
-    /// Enables per-cycle Phase A / Phase B wall-time accounting (see
-    /// [`Gpu::phase_nanos`]). Off by default; the perf harness turns it on.
-    pub fn set_phase_timing(&mut self, on: bool) {
-        self.phase_timing = on;
-    }
-
-    /// Accumulated `(phase A, phase B)` wall time in nanoseconds since the
-    /// last launch started — the parallel front-end phase vs the
-    /// commit/NoC/L2/DRAM/detector phase. Zeros unless
-    /// [`Gpu::set_phase_timing`] is on.
-    #[must_use]
-    pub fn phase_nanos(&self) -> (u64, u64) {
-        (self.phase_a_nanos, self.phase_b_nanos)
-    }
-
-    /// Per-shard memory-side wall time in nanoseconds since the last launch
-    /// started, one slot per L2 partition / DRAM channel. Covers only the
-    /// sharded L2+DRAM tick — a subset of [`Gpu::phase_nanos`]'s Phase B
-    /// total, which also spans SM commit, NoC routing, the merge and the
-    /// detector drain. Zeros unless [`Gpu::set_phase_timing`] is on.
-    #[must_use]
-    pub fn shard_phase_b_nanos(&self) -> &[u64] {
-        &self.shard_b_nanos
-    }
-
     /// The detector's accumulated race log (empty log if detection is off).
     #[must_use]
     pub fn races(&self) -> Option<&RaceLog> {
@@ -466,7 +422,7 @@ impl Gpu {
     /// next to every extrapolated number.
     #[must_use]
     pub fn sample_report(&self) -> Option<SampleReport> {
-        // The memory-bound floor: the busiest shard's real (non-ghost)
+        // The memory-bound floor: the busiest partition's real (non-ghost)
         // service demand. The full grid executed, so this is the full
         // machine's demand already — it does not scale with SM count.
         let memory_term = self
@@ -544,19 +500,14 @@ impl Gpu {
         self.next_block = 0;
         self.blocks_live = 0;
         self.now = 0;
-        self.seq = 0;
         self.dispatch_hint = true;
-        self.heap.clear();
+        self.events.clear();
         self.stats = SimStats::default();
-        self.phase_a_nanos = 0;
-        self.phase_b_nanos = 0;
-        self.shard_b_nanos.fill(0);
         for sm in &mut self.sms {
             sm.rr = 0;
             sm.tx_free_at = 0;
             sm.out_queue.clear();
             sm.recompute_occupied();
-            sm.front.begin_cycle();
         }
         for p in &mut self.parts {
             p.rx_free_at = 0;
@@ -566,7 +517,6 @@ impl Gpu {
             p.dram.reset();
             p.real_l2_busy = 0;
             p.real_dram_busy = 0;
-            p.buf = Default::default();
         }
         if let Some(det) = &mut self.detector {
             det.detector_mut().on_kernel_boundary();
@@ -609,7 +559,7 @@ impl Gpu {
     fn finished(&self) -> bool {
         self.next_block >= self.grid_blocks
             && self.blocks_live == 0
-            && self.heap.is_empty()
+            && self.events.is_empty()
             && self.sms.iter().all(|s| s.out_queue.is_empty())
             && self.parts.iter().all(|p| {
                 p.in_queue.is_empty() && p.pending_fills.is_empty() && p.dram.idle(self.now)
@@ -635,9 +585,7 @@ impl Gpu {
     /// * each non-idle DRAM channel: its busy-until horizon;
     /// * the detector whenever its queue is non-empty (it consumes events
     ///   every cycle).
-    ///
-    /// `&mut self` only for [`Gpu::wake_scratch`]; the scan itself reads.
-    fn next_wake(&mut self) -> u64 {
+    fn next_wake(&self) -> u64 {
         let floor = self.now + 1;
         if self.next_block < self.grid_blocks && self.dispatch_hint {
             return floor;
@@ -651,55 +599,23 @@ impl Gpu {
         if self.sample.as_ref().is_some_and(SampleModel::has_backlog) {
             return floor;
         }
-        let mut t = u64::MAX;
-        if let Some(item) = self.heap.peek() {
-            t = t.min(item.time.max(floor));
-        }
-        let now = self.now;
-        if let Some(pool) = &self.pool {
-            // Parallel scan, one slot per SM followed by one per memory
-            // shard: a pure min-reduction, so the fold order (and hence
-            // host thread scheduling) cannot affect the result.
-            let nsms = self.sms.len();
-            let mut wakes = std::mem::take(&mut self.wake_scratch);
-            wakes.clear();
-            wakes.resize(nsms + self.parts.len(), u64::MAX);
-            let (cfg, sms, parts) = (&self.cfg, &self.sms, &self.parts);
-            pool.for_each_mut(&mut wakes, |i, slot| {
-                *slot = if i < nsms {
-                    Self::sm_wake(cfg, sms, parts, floor, i)
-                } else {
-                    parts[i - nsms].wake(now, floor)
-                };
-            });
-            for &w in &wakes {
-                t = t.min(w);
-            }
-            self.wake_scratch = wakes;
-            if t == floor {
+        let mut t = self.events.next_time().map_or(u64::MAX, |e| e.max(floor));
+        for sm in &self.sms {
+            let w = self.sm_wake(sm, floor);
+            if w == floor {
                 return floor;
             }
-        } else {
-            for s in 0..self.sms.len() {
-                let w = Self::sm_wake(&self.cfg, &self.sms, &self.parts, floor, s);
-                if w == floor {
-                    return floor;
-                }
-                t = t.min(w);
-            }
-            for p in &self.parts {
-                t = t.min(p.wake(now, floor));
-            }
+            t = t.min(w);
+        }
+        for p in &self.parts {
+            t = t.min(p.wake(self.now, floor));
         }
         t
     }
 
     /// One SM's earliest wake time for [`Gpu::next_wake`]: its resident
-    /// warps' wake cycles plus its queued NoC head-of-line packet. An
-    /// associated function over plain borrows so the parallel scan can share
-    /// it across worker threads without requiring `Gpu: Sync`.
-    fn sm_wake(cfg: &GpuConfig, sms: &[Sm], parts: &[Partition], floor: u64, s: usize) -> u64 {
-        let sm = &sms[s];
+    /// warps' wake cycles plus its queued NoC head-of-line packet.
+    fn sm_wake(&self, sm: &Sm, floor: u64) -> u64 {
         let mut t = u64::MAX;
         let mut occ = sm.occupied;
         while occ != 0 {
@@ -722,8 +638,8 @@ impl Gpu {
             }
         }
         if let Some(head) = sm.out_queue.front() {
-            let part = partition_of(cfg, head.line_addr);
-            let ready = sm.tx_free_at.max(parts[part].rx_free_at);
+            let part = partition_of(&self.cfg, head.line_addr);
+            let ready = sm.tx_free_at.max(self.parts[part].rx_free_at);
             t = t.min(ready.max(floor));
         }
         t
@@ -765,15 +681,6 @@ impl Gpu {
         self.now = jump_to;
     }
 
-    fn push_event(&mut self, time: u64, ev: Ev) {
-        self.seq += 1;
-        self.heap.push(HeapItem {
-            time,
-            seq: self.seq,
-            ev,
-        });
-    }
-
     /// Advances the machine one cycle. Returns `true` when the cycle made
     /// observable progress (an event fired, a block dispatched, an
     /// instruction issued or stalled actively, a packet moved, the L2
@@ -795,28 +702,10 @@ impl Gpu {
         let next_block0 = self.next_block;
         let drained = self.drain_events();
         self.dispatch_blocks();
-        // Phase A: all SM front ends, possibly fanned out over the worker
-        // pool; every shared-state effect lands in the per-SM buffers.
-        let t0 = self.phase_timing.then(Instant::now);
-        self.front_phase();
-        // Phase B, in fixed order: per-SM commit (ascending SM index) and
-        // NoC arbitration run serially — the NoC is the deterministic
-        // routing step that fills the per-shard queues — then the memory
-        // shards tick (possibly fanned out over the pool) with effects
-        // buffered per shard, and a fixed-order merge applies them exactly
-        // as the serial drain would. Detector last, as before.
-        let t1 = self.phase_timing.then(Instant::now);
-        for s in 0..self.sms.len() {
-            self.commit_front(s)?;
-        }
+        self.front_tick()?;
         self.noc_tick();
-        self.mem_phase();
-        self.merge_mem();
+        self.mem_tick();
         self.detector_tick()?;
-        if let (Some(a), Some(b)) = (t0, t1) {
-            self.phase_a_nanos += duration_nanos(b - a);
-            self.phase_b_nanos += duration_nanos(b.elapsed());
-        }
         Ok(drained
             || self.next_block != next_block0
             || self.stats.warp_instructions != insts0
@@ -836,10 +725,9 @@ impl Gpu {
     /// Fires all events due at or before `now`; returns `true` if any fired.
     fn drain_events(&mut self) -> bool {
         let mut any = false;
-        while matches!(self.heap.peek(), Some(i) if i.time <= self.now) {
+        while let Some(ev) = self.events.pop_due(self.now) {
             any = true;
-            let item = self.heap.pop().expect("peeked");
-            match item.ev {
+            match ev {
                 Ev::WarpResponse {
                     sm,
                     warp,
@@ -887,7 +775,7 @@ impl Gpu {
         };
         self.stats.noc_flits += u64::from(resp_flits);
         let l1_fill = pkt.l1_fill.then_some(pkt.line_addr);
-        self.push_event(
+        self.events.push(
             time + 8 + u64::from(resp_flits),
             Ev::WarpResponse {
                 sm: pkt.sm as usize,
@@ -966,183 +854,45 @@ impl Gpu {
         self.dispatch_hint = dispatched;
     }
 
-    // ---- SM front end (Phase A) and commit (Phase B) ----------------------
+    // ---- SM front ends ----------------------------------------------------
 
-    /// Phase A: runs every SM's front end (prepass, issue, execute) with
-    /// all shared-state effects deferred into the per-SM
-    /// [`front::FrontBuf`]s. Fans out over the worker pool when the
-    /// effective `sm_threads` exceeds 1; serial and parallel paths run the
-    /// identical per-SM function, which is what makes results
-    /// byte-identical across thread counts.
-    fn front_phase(&mut self) {
-        // Latch the LHD backpressure signal once per cycle (after block
-        // dispatch, whose WarpAssigned events have already enqueued): the
-        // hardware-realistic registered wire, and the one front-end input
-        // that would otherwise couple SMs within a cycle.
+    /// Runs every SM's front end (prepass, issue, execute) in ascending SM
+    /// order, applying each effect to machine state as it happens (see
+    /// [`crate::front`]).
+    fn front_tick(&mut self) -> Result<(), SimError> {
+        // Latch the LHD backpressure signal once per cycle, after block
+        // dispatch (whose WarpAssigned events have already enqueued): the
+        // hardware-realistic registered wire, so no SM sees detector-queue
+        // entries a lower-numbered SM enqueued this cycle.
         let lhd_open = self
             .detector
             .as_ref()
             .is_none_or(DetectorUnit::can_accept_l1_hit);
-        let ctx = FrontCtx {
+        let mut ctx = FrontCtx {
             cfg: &self.cfg,
             program: self.program.as_deref().expect("launch in progress"),
             params: &self.params,
             now: self.now,
-            mem_bytes: self.mem.bytes(),
             grid_blocks: self.grid_blocks,
             threads_per_block: self.threads_per_block,
-            detect: self.detector.is_some(),
             lhd_open,
             toggles: self.cfg.toggles(),
+            mem: &mut self.mem,
+            detector: self.detector.as_mut(),
+            events: &mut self.events,
+            stats: &mut self.stats,
+            scratch: &mut self.scratch,
+            blocks_live: &mut self.blocks_live,
+            dispatch_hint: &mut self.dispatch_hint,
         };
-        match &self.pool {
-            Some(pool) if self.sm_eff > 1 => {
-                pool.for_each_mut(&mut self.sms, |_, sm| front::sm_front(&ctx, sm));
-            }
-            _ => {
-                for sm in &mut self.sms {
-                    front::sm_front(&ctx, sm);
-                }
+        for (s, sm) in self.sms.iter_mut().enumerate() {
+            let insts0 = ctx.stats.warp_instructions;
+            front::sm_front(&mut ctx, sm)?;
+            if let Some(samp) = &mut self.sample {
+                samp.record_sm_insts(s, ctx.stats.warp_instructions - insts0);
             }
         }
-    }
-
-    /// Phase B for one SM (called in ascending SM order): applies the SM's
-    /// buffered effects to shared machine state — functional memory and
-    /// register writebacks, detector events in generation order (preserving
-    /// the fault-injection RNG stream event for event), L1-hit response
-    /// events, statistics and block retirement — then surfaces any deferred
-    /// execution error at the same point the single-phase tick aborted.
-    fn commit_front(&mut self, s: usize) -> Result<(), SimError> {
-        let mut events = std::mem::take(&mut self.sms[s].front.events);
-        let lane_buf = std::mem::take(&mut self.sms[s].front.lane_buf);
-        for ev in events.drain(..) {
-            match ev {
-                PendingEvent::Fence { warp_slot, scope } => {
-                    if let Some(det) = &mut self.detector {
-                        det.enqueue(DetectorEvent::Fence {
-                            sm: s as u8,
-                            warp_slot,
-                            scope,
-                        });
-                    }
-                }
-                PendingEvent::Barrier { block_slot } => {
-                    if let Some(det) = &mut self.detector {
-                        det.enqueue(DetectorEvent::Barrier {
-                            sm: s as u8,
-                            block_slot,
-                        });
-                    }
-                }
-                PendingEvent::Access(acc) => self.commit_access(s, &lane_buf, &acc),
-            }
-        }
-        // Hand the buffers back with their capacity intact.
-        self.sms[s].front.events = events;
-        self.sms[s].front.lane_buf = lane_buf;
-        let front = &mut self.sms[s].front;
-        let stats = front.stats;
-        let retired = front.blocks_retired;
-        let dispatch = front.dispatch;
-        let error = front.error.take();
-        stats.apply(&mut self.stats);
-        if let Some(samp) = &mut self.sample {
-            samp.record_sm_insts(s, stats.warp_instructions);
-        }
-        self.blocks_live -= retired;
-        self.dispatch_hint |= dispatch;
-        match error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Applies one buffered global access: functional memory, register
-    /// writebacks, the detector `Access` event, and its L1-hit response
-    /// events. Operand registers are read here, not captured at issue — a
-    /// warp issues at most one instruction per cycle and nothing else
-    /// touches its registers between the phases, so the values observed are
-    /// exactly what the single-phase tick saw (including same-cycle
-    /// cross-SM store→load visibility, which follows SM commit order in
-    /// both designs).
-    fn commit_access(&mut self, s: usize, lane_buf: &[(u32, u64)], acc: &PendingAccess) {
-        let slot = acc.warp_slot as usize;
-        let mut warp = self.sms[s].warps[slot]
-            .take()
-            .expect("issuing warp resident");
-        let lane_addrs = &lane_buf[acc.lanes.0 as usize..acc.lanes.1 as usize];
-        // The lane-access list is only materialized when a detector will
-        // consume it, and its buffer is recycled through the detector
-        // unit's spare pool rather than allocated per instruction.
-        let record = self.detector.is_some();
-        let mut accesses: Vec<MemAccess> = match &mut self.detector {
-            Some(det) => {
-                let mut v = det.take_spare();
-                v.reserve(lane_addrs.len());
-                v
-            }
-            None => Vec::new(),
-        };
-        for &(lane, a) in lane_addrs {
-            let kind = match acc.op {
-                GlobalOp::Load { dst, .. } => {
-                    let v = self.mem.read_word(a);
-                    warp.set_reg(lane, dst, v);
-                    AccessKind::Load
-                }
-                GlobalOp::Store { src, .. } => {
-                    let v = warp.operand(lane, src);
-                    self.mem.write_word(a, v);
-                    AccessKind::Store
-                }
-                GlobalOp::Atomic {
-                    op: aop,
-                    dst,
-                    val,
-                    cmp,
-                    scope,
-                } => {
-                    let old = self.mem.read_word(a);
-                    let v = warp.operand(lane, val);
-                    let c = warp.operand(lane, cmp);
-                    self.mem.write_word(a, aop.apply(old, v, c));
-                    if let Some(d) = dst {
-                        warp.set_reg(lane, d, old);
-                    }
-                    let kind = match aop {
-                        AtomOp::Cas => AtomKind::Cas,
-                        AtomOp::Exch => AtomKind::Exch,
-                        _ => AtomKind::Other,
-                    };
-                    AccessKind::Atomic { kind, scope }
-                }
-            };
-            if record {
-                accesses.push(MemAccess {
-                    kind,
-                    addr: a,
-                    strong: acc.strong,
-                    pc: acc.pc,
-                    who: acc.who,
-                });
-            }
-        }
-        self.sms[s].warps[slot] = Some(warp);
-        if let Some(det) = &mut self.detector {
-            det.enqueue(DetectorEvent::Access { accesses });
-        }
-        for _ in 0..acc.l1_hits {
-            self.push_event(
-                self.now + u64::from(self.cfg.l1_latency),
-                Ev::WarpResponse {
-                    sm: s,
-                    warp: slot,
-                    is_store_ack: false,
-                    l1_fill: None,
-                },
-            );
-        }
+        Ok(())
     }
 
     // ---- interconnect -----------------------------------------------------
@@ -1190,9 +940,8 @@ impl Gpu {
     /// cycle makes the ghost wait in the backlog, exactly the
     /// head-of-line blocking a real SM's out-queue exhibits — and count
     /// toward `noc_flits`, which keeps the tick's busy-detection aware of
-    /// them. Runs in the serial NoC step with deterministic round-robin
-    /// replica assignment, so sampled runs stay byte-identical across
-    /// host thread counts.
+    /// them. Replicas are assigned round-robin, so sampled runs
+    /// reproduce exactly.
     fn inject_ghosts(&mut self) {
         let Some(samp) = &mut self.sample else {
             return;
@@ -1217,48 +966,18 @@ impl Gpu {
         }
     }
 
-    /// Ticks every memory shard (L2 partition + DRAM channel), fanned out
-    /// over the worker pool when the effective `mem_threads` exceeds 1 and
-    /// inline in ascending partition order otherwise. Each shard touches
-    /// only its own [`Partition`] and buffers externally visible effects in
-    /// its [`crate::memside::MemBuf`]; serial and parallel paths run the
-    /// identical per-shard function.
-    fn mem_phase(&mut self) {
-        let ctx = MemCtx {
-            cfg: &self.cfg,
-            now: self.now,
-            timing: self.phase_timing,
-        };
-        match &self.pool {
-            Some(pool) if self.mem_eff > 1 => {
-                pool.for_each_mut(&mut self.parts, |_, part| part.tick(&ctx));
-            }
-            _ => {
-                for part in &mut self.parts {
-                    part.tick(&ctx);
-                }
-            }
-        }
-    }
-
-    /// Drains the shards' buffered effects into shared state in the fixed
-    /// cross-shard order: ascending partition id, and within a shard the
-    /// generation order (L2 response before DRAM completion). This is
-    /// exactly the order the serial drain produced them, so the event
-    /// heap's `(time, seq)` tiebreak — and every effect downstream of it,
-    /// including L1 LRU evolution via fill responses — is byte-identical at
-    /// any `mem_threads`.
-    fn merge_mem(&mut self) {
+    /// Ticks every memory partition (L2 slice + DRAM channel) in ascending
+    /// order, scheduling each one's L2 response and DRAM completion as it
+    /// returns them.
+    fn mem_tick(&mut self) {
         for p in 0..self.parts.len() {
-            let buf = std::mem::take(&mut self.parts[p].buf);
-            buf.stats.apply(&mut self.stats);
-            if let Some((pkt, time)) = buf.response {
+            let (response, dram_done) = self.parts[p].tick(&self.cfg, self.now, &mut self.stats);
+            if let Some((pkt, time)) = response {
                 self.respond(&pkt, time);
             }
-            if let Some((req, done)) = buf.dram_done {
-                self.push_event(done, Ev::DramDone { part: p, req });
+            if let Some((req, done)) = dram_done {
+                self.events.push(done, Ev::DramDone { part: p, req });
             }
-            self.shard_b_nanos[p] += buf.nanos;
         }
     }
 
@@ -1292,47 +1011,41 @@ impl Gpu {
     }
 }
 
-/// Saturating `Duration` → `u64` nanoseconds (phase-timing accumulators).
-pub(crate) fn duration_nanos(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use scord_isa::{KernelBuilder, Scope};
 
     #[test]
-    fn heap_is_a_min_heap_by_time_then_seq() {
-        let mut h = BinaryHeap::new();
-        h.push(HeapItem {
-            time: 5,
-            seq: 1,
-            ev: Ev::DramDone {
-                part: 0,
-                req: DramRequest {
-                    line_addr: 0,
-                    write: false,
-                    metadata: false,
-                    ghost: false,
-                },
+    fn event_queue_pops_by_time_then_push_order() {
+        let done = |part| Ev::DramDone {
+            part,
+            req: DramRequest {
+                line_addr: 0,
+                write: false,
+                metadata: false,
+                ghost: false,
             },
-        });
-        h.push(HeapItem {
-            time: 3,
-            seq: 2,
-            ev: Ev::DramDone {
-                part: 1,
-                req: DramRequest {
-                    line_addr: 0,
-                    write: false,
-                    metadata: false,
-                    ghost: false,
-                },
-            },
-        });
-        let first = h.pop().unwrap();
-        assert_eq!(first.time, 3);
+        };
+        let mut q = EventQueue::default();
+        q.push(5, done(0));
+        q.push(3, done(1));
+        q.push(3, done(2));
+        assert_eq!(q.next_time(), Some(3));
+        assert!(q.pop_due(2).is_none(), "nothing due before cycle 3");
+        let part = |ev: Option<Ev>| match ev {
+            Some(Ev::DramDone { part, .. }) => part,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(part(q.pop_due(3)), 1);
+        assert_eq!(
+            part(q.pop_due(3)),
+            2,
+            "same-cycle events fire in push order"
+        );
+        assert!(q.pop_due(4).is_none());
+        assert_eq!(part(q.pop_due(9)), 0);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -1460,55 +1173,81 @@ mod tests {
         }
     }
 
-    /// The sharded memory-side drain must reproduce serial results
-    /// bit-for-bit, including on a non-power-of-two channel count and with
-    /// detection (metadata traffic) on. Exercised per-`Gpu` via
-    /// `GpuConfig::mem_threads` (not the process-wide override, which other
-    /// tests may share); the kernel mixes L2 hits, misses with writebacks,
-    /// atomics and a racy scope so every buffered-effect path fires.
+    /// Golden values for a kernel that exercises every memory-side path
+    /// on a non-power-of-two channel count with detection on: L2 hits,
+    /// misses, metadata traffic, atomics and a scoped-atomic race. The
+    /// literals were captured from the simulator before its tick was
+    /// folded into one direct path, so any refactor that changes timing,
+    /// traffic or detection order fails here first.
     #[test]
-    fn sharded_mem_drain_reproduces_stats_exactly() {
-        let run = |mem_threads: u32| {
-            let cfg = GpuConfig {
-                channels: 7,
-                mem_threads,
-                detection: crate::DetectionMode::scord(),
-                ..GpuConfig::paper_default()
-            };
-            let mut gpu = Gpu::new(cfg);
-            let buf = gpu.mem_mut().alloc_words(4096);
-            let mut k = KernelBuilder::new("shard_mix", 1);
-            let base = k.ld_param(0);
-            let gtid = k.global_tid();
-            let addr = k.index_addr(base, gtid, 4);
-            let v = k.ld_global(addr, 0);
-            // Block-scoped atomic shared across blocks: races the detector
-            // reports.
-            k.atom_add_noret(base, 0, 1u32, Scope::Block);
-            k.fence(Scope::Device);
-            let v2 = k.alu(scord_isa::AluOp::Add, v, 1u32);
-            k.st_global(addr, 0, v2);
-            k.exit();
-            let prog = k.finish().unwrap();
-            let stats = gpu
-                .launch(&prog, 8, 64, &[buf.addr()])
-                .expect("kernel completes");
-            // Sorted: the race *set* is deterministic, but its insertion
-            // order within one event can follow detector-internal hash
-            // iteration (varies per detector instance, independent of
-            // thread counts).
-            let mut races: Vec<_> = gpu.races().expect("detection on").unique_races().collect();
-            races.sort_unstable_by_key(|&(pc, kind)| (pc, format!("{kind:?}")));
-            (stats, races)
+    fn shard_mix_stats_and_races_are_pinned() {
+        let cfg = GpuConfig {
+            channels: 7,
+            detection: crate::DetectionMode::scord(),
+            ..GpuConfig::paper_default()
         };
-        let serial = run(1);
-        for mem_threads in [2, 4] {
-            assert_eq!(
-                serial,
-                run(mem_threads),
-                "mem_threads={mem_threads} must be byte-identical to serial"
-            );
-        }
+        let mut gpu = Gpu::new(cfg);
+        let buf = gpu.mem_mut().alloc_words(4096);
+        let mut k = KernelBuilder::new("shard_mix", 1);
+        let base = k.ld_param(0);
+        let gtid = k.global_tid();
+        let addr = k.index_addr(base, gtid, 4);
+        let v = k.ld_global(addr, 0);
+        // Block-scoped atomic shared across blocks: races the detector
+        // reports.
+        k.atom_add_noret(base, 0, 1u32, Scope::Block);
+        k.fence(Scope::Device);
+        let v2 = k.alu(scord_isa::AluOp::Add, v, 1u32);
+        k.st_global(addr, 0, v2);
+        k.exit();
+        let prog = k.finish().unwrap();
+        let stats = gpu
+            .launch(&prog, 8, 64, &[buf.addr()])
+            .expect("kernel completes");
+        assert_eq!(
+            stats,
+            SimStats {
+                cycles: 511,
+                cycles_skipped: 181,
+                warp_instructions: 224,
+                thread_instructions: 7168,
+                l1_hits: 0,
+                l1_misses: 16,
+                l2_data_hits: 32,
+                l2_data_misses: 16,
+                l2_md_hits: 134,
+                l2_md_misses: 2,
+                dram: crate::DramStats {
+                    data_reads: 16,
+                    data_writebacks: 0,
+                    metadata_reads: 2,
+                    metadata_writebacks: 0,
+                },
+                noc_flits: 656,
+                detector_events: 48,
+                detector_lane_accesses: 1536,
+                stalls: crate::StallStats {
+                    lhd: 0,
+                    noc_full: 0,
+                    memory: 2254,
+                    barrier: 0,
+                },
+                unique_races: 2,
+                total_races: 15,
+                faults_injected: 0,
+            }
+        );
+        // Sorted: the race *set* is deterministic, but its insertion order
+        // within one event can follow detector-internal hash iteration.
+        let mut races: Vec<_> = gpu.races().expect("detection on").unique_races().collect();
+        races.sort_unstable_by_key(|&(pc, kind)| (pc, format!("{kind:?}")));
+        assert_eq!(
+            races,
+            [
+                (9, scord_core::RaceKind::ScopedAtomic),
+                (12, scord_core::RaceKind::ScopedAtomic)
+            ]
+        );
     }
 
     #[test]

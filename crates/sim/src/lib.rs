@@ -70,47 +70,6 @@ pub fn cycle_skip_enabled() -> bool {
     CYCLE_SKIP.load(Ordering::Relaxed)
 }
 
-use std::sync::atomic::AtomicU32;
-
-/// Process-wide floor for [`GpuConfig::sm_threads`] (`0` = no override).
-/// Set by `run-experiments --sm-threads N` so every `Gpu` built afterwards
-/// parallelizes its SM front-end phase without each call site plumbing the
-/// knob through. Sampled at [`Gpu::try_new`]; results are byte-identical
-/// for any value (see the `sm_threads` field docs).
-static SM_THREADS: AtomicU32 = AtomicU32::new(0);
-
-/// Raises the process-wide SM front-end thread floor (`0` clears the
-/// override). A `Gpu` samples this at construction: the effective thread
-/// count is `max(cfg.sm_threads, override)`, capped at `num_sms`.
-pub fn set_sm_threads(threads: u32) {
-    SM_THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// The current process-wide SM front-end thread override (`0` = none).
-#[must_use]
-pub fn sm_threads_override() -> u32 {
-    SM_THREADS.load(Ordering::Relaxed)
-}
-
-/// Process-wide floor for [`GpuConfig::mem_threads`] (`0` = no override).
-/// Set by `run-experiments --mem-threads N` so every `Gpu` built afterwards
-/// shards its Phase B memory-side drain without each call site plumbing the
-/// knob through. Sampled at [`Gpu::try_new`]; results are byte-identical
-/// for any value (see the `mem_threads` field docs).
-static MEM_THREADS: AtomicU32 = AtomicU32::new(0);
-
-/// Raises the process-wide memory-side shard thread floor (`0` clears the
-/// override). A `Gpu` samples this at construction: the effective thread
-/// count is `max(cfg.mem_threads, override)`, capped at `channels`.
-pub fn set_mem_threads(threads: u32) {
-    MEM_THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// The current process-wide memory-side shard thread override (`0` = none).
-#[must_use]
-pub fn mem_threads_override() -> u32 {
-    MEM_THREADS.load(Ordering::Relaxed)
-}
 pub use detector_unit::{DetectorEvent, DetectorUnit};
 pub use dram::{DramChannel, DramRequest};
 pub use gpu::{Gpu, Packet, SimError};

@@ -1,87 +1,28 @@
-//! Phase B's memory side, sharded by L2 partition / DRAM channel.
+//! The memory side, one [`Partition`] per L2 slice and DRAM channel.
 //!
-//! Each [`Partition`] bundles one L2 slice with its DRAM channel — the
-//! hardware already keeps these independent (addresses are striped across
-//! partitions by line, and a channel only ever serves its own slice), so
-//! the shard boundary is the natural one. [`Partition::tick`] advances one
-//! shard one cycle touching nothing but that shard: every externally
-//! visible effect (the L2-hit/fill response, a completed DRAM read, stat
-//! deltas, the optional per-shard clock) lands in the shard's [`MemBuf`],
-//! exactly as [`crate::front`] defers Phase A effects into per-SM buffers.
-//! `Gpu::merge_mem` then drains the buffers in ascending partition order —
-//! response before DRAM completion within a shard, matching the order the
-//! serial drain produced them — so the event heap's `(time, seq)` tiebreak,
-//! and therefore every downstream result, is byte-identical at any
-//! `mem_threads`.
-//!
-//! Inputs are latched before the fan-out: `now` and the config are frozen
-//! in [`MemCtx`], and all cross-shard traffic (NoC routing, detector
-//! metadata writebacks) is deposited into `in_queue` by the serial stages
-//! that precede the shard tick. Nothing a shard reads can be written by
-//! another shard in the same cycle.
+//! Addresses are striped across partitions by line and a channel only ever
+//! serves its own slice, so a partition's tick touches nothing but its own
+//! state and the launch statistics. `Gpu::tick` ticks the partitions in
+//! ascending order and applies each one's L2 response and DRAM completion
+//! to the event heap as it returns them.
 
 use std::collections::VecDeque;
-use std::time::Instant;
 
 use scord_core::FlatMap;
 
-use crate::gpu::{duration_nanos, Packet};
+use crate::gpu::Packet;
 use crate::{Cache, CacheOutcome, DramChannel, DramRequest, GpuConfig, SimStats};
 
-/// Stat deltas accumulated by one shard during its tick. All counters are
-/// commutative, but the merge folds them in ascending partition order
-/// anyway — the same order the serial drain incremented them.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct MemStats {
-    pub l2_data_hits: u64,
-    pub l2_data_misses: u64,
-    pub l2_md_hits: u64,
-    pub l2_md_misses: u64,
-    pub dram_data_reads: u64,
-    pub dram_data_writebacks: u64,
-    pub dram_metadata_reads: u64,
-    pub dram_metadata_writebacks: u64,
-}
+/// An L2 hit's response: `(packet, response-ready cycle)`.
+pub(crate) type Response = (Packet, u64);
+/// A DRAM read that started this cycle: `(request, completion cycle)`.
+pub(crate) type DramRead = (DramRequest, u64);
 
-impl MemStats {
-    /// Folds this shard's deltas into the global statistics.
-    pub(crate) fn apply(&self, stats: &mut SimStats) {
-        stats.l2_data_hits += self.l2_data_hits;
-        stats.l2_data_misses += self.l2_data_misses;
-        stats.l2_md_hits += self.l2_md_hits;
-        stats.l2_md_misses += self.l2_md_misses;
-        stats.dram.data_reads += self.dram_data_reads;
-        stats.dram.data_writebacks += self.dram_data_writebacks;
-        stats.dram.metadata_reads += self.dram_metadata_reads;
-        stats.dram.metadata_writebacks += self.dram_metadata_writebacks;
-    }
-}
-
-/// One shard's buffered externally visible effects for the current cycle.
-///
-/// The L2 serves at most one packet per partition per cycle and a DRAM
-/// channel starts at most one request per cycle, so single `Option` slots
-/// cover a whole cycle without allocating.
-#[derive(Debug, Default)]
-pub(crate) struct MemBuf {
-    pub stats: MemStats,
-    /// An L2 hit's deferred response: `(packet, response-ready cycle)`.
-    /// Replayed through `Gpu::respond` at merge (which also no-ops for
-    /// packets not needing one, e.g. detector metadata writes).
-    pub response: Option<(Packet, u64)>,
-    /// A DRAM read that started this cycle: `(request, completion cycle)`.
-    /// Becomes an `Ev::DramDone` heap event at merge.
-    pub dram_done: Option<(DramRequest, u64)>,
-    /// This shard's wall time this cycle; stays 0 unless phase timing is
-    /// on (`MemCtx::timing`).
-    pub nanos: u64,
-}
-
-/// One memory shard: an L2 partition plus the DRAM channel behind it.
+/// One memory partition: an L2 slice plus the DRAM channel behind it.
 #[derive(Debug)]
 pub(crate) struct Partition {
     pub l2: Cache,
-    /// The shard's event queue: requests routed here by the NoC plus
+    /// The partition's event queue: requests routed here by the NoC plus
     /// detector metadata writebacks, consumed in arrival order.
     pub in_queue: VecDeque<Packet>,
     pub rx_free_at: u64,
@@ -100,16 +41,6 @@ pub(crate) struct Partition {
     pub real_l2_busy: u64,
     /// DRAM channel busy cycles consumed by real (non-ghost) requests.
     pub real_dram_busy: u64,
-    /// This cycle's buffered effects, drained by `Gpu::merge_mem`.
-    pub buf: MemBuf,
-}
-
-/// Cycle inputs latched before the shard fan-out.
-pub(crate) struct MemCtx<'a> {
-    pub cfg: &'a GpuConfig,
-    pub now: u64,
-    /// Record per-shard wall time into [`MemBuf::nanos`].
-    pub timing: bool,
 }
 
 impl Partition {
@@ -124,57 +55,58 @@ impl Partition {
             fill_pool: Vec::new(),
             real_l2_busy: 0,
             real_dram_busy: 0,
-            buf: MemBuf::default(),
         }
     }
 
-    /// Advances this shard one cycle, buffering every externally visible
-    /// effect in [`Self::buf`]. Runs on a pool worker when `mem_threads`
-    /// exceeds 1 and inline otherwise — the identical function either way,
-    /// which is what makes results byte-identical across thread counts.
-    pub(crate) fn tick(&mut self, ctx: &MemCtx) {
-        let t0 = ctx.timing.then(Instant::now);
-        self.buf.stats = MemStats::default();
-        self.buf.response = None;
-        self.buf.dram_done = None;
-        self.buf.nanos = 0;
+    /// Advances this partition one cycle, counting L2 and DRAM traffic
+    /// into `stats`. Returns the L2 hit's response and the DRAM read that
+    /// started this cycle, if any: the L2 serves at most one packet and a
+    /// channel starts at most one request per cycle.
+    pub(crate) fn tick(
+        &mut self,
+        cfg: &GpuConfig,
+        now: u64,
+        stats: &mut SimStats,
+    ) -> (Option<Response>, Option<DramRead>) {
+        let mut response = None;
+        let mut dram_done = None;
         // L2 service: one packet per cycle (plus atomic serialization).
-        if self.l2_free_at <= ctx.now {
+        if self.l2_free_at <= now {
             let ready = matches!(
                 self.in_queue.front(),
-                Some(pkt) if pkt.ready_at <= ctx.now
+                Some(pkt) if pkt.ready_at <= now
             );
             if ready {
                 let pkt = self.in_queue.pop_front().expect("non-empty");
                 let write = pkt.write || pkt.atomic_lanes > 0;
                 let outcome = self.l2.access(pkt.line_addr, write, pkt.metadata);
                 let busy = 1 + u64::from(pkt.atomic_lanes / 2);
-                self.l2_free_at = ctx.now + busy;
+                self.l2_free_at = now + busy;
                 if !pkt.ghost {
                     self.real_l2_busy += busy;
                 }
                 match outcome {
                     CacheOutcome::Hit => {
                         if pkt.metadata {
-                            self.buf.stats.l2_md_hits += 1;
+                            stats.l2_md_hits += 1;
                         } else {
-                            self.buf.stats.l2_data_hits += 1;
+                            stats.l2_data_hits += 1;
                         }
-                        self.buf.response = Some((pkt, ctx.now + u64::from(ctx.cfg.l2_latency)));
+                        response = Some((pkt, now + u64::from(cfg.l2_latency)));
                     }
                     CacheOutcome::Miss { writeback } => {
                         if pkt.metadata {
-                            self.buf.stats.l2_md_misses += 1;
-                            self.buf.stats.dram_metadata_reads += 1;
+                            stats.l2_md_misses += 1;
+                            stats.dram.metadata_reads += 1;
                         } else {
-                            self.buf.stats.l2_data_misses += 1;
-                            self.buf.stats.dram_data_reads += 1;
+                            stats.l2_data_misses += 1;
+                            stats.dram.data_reads += 1;
                         }
                         if let Some(v) = writeback {
                             if v.metadata {
-                                self.buf.stats.dram_metadata_writebacks += 1;
+                                stats.dram.metadata_writebacks += 1;
                             } else {
-                                self.buf.stats.dram_data_writebacks += 1;
+                                stats.dram.data_writebacks += 1;
                             }
                             self.dram.push(DramRequest {
                                 line_addr: v.line_addr,
@@ -206,23 +138,21 @@ impl Partition {
             }
         }
         // DRAM service: at most one request starts per channel per cycle.
-        if let Some((req, done)) = self.dram.tick(ctx.now) {
+        if let Some((req, done)) = self.dram.tick(now) {
             if !req.ghost {
-                self.real_dram_busy += done - ctx.now;
+                self.real_dram_busy += done - now;
             }
             if !req.write {
-                self.buf.dram_done = Some((req, done));
+                dram_done = Some((req, done));
             }
         }
-        if let Some(t0) = t0 {
-            self.buf.nanos = duration_nanos(t0.elapsed());
-        }
+        (response, dram_done)
     }
 
-    /// This shard's earliest future wake cycle for the quiescence skip:
+    /// This partition's earliest future wake cycle for the quiescence skip:
     /// the head queued packet's L2 service time and the DRAM channel's
-    /// busy horizon, both clamped to `floor`. `u64::MAX` when the shard is
-    /// fully idle (it then wakes via the event heap — a pending fill's
+    /// busy horizon, both clamped to `floor`. `u64::MAX` when the partition
+    /// is fully idle (it then wakes via the event heap — a pending fill's
     /// `DramDone` — or not at all).
     pub(crate) fn wake(&self, now: u64, floor: u64) -> u64 {
         let mut t = u64::MAX;

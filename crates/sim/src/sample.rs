@@ -33,10 +33,9 @@
 //! but they are tagged [`Packet::ghost`] so the memory side can account
 //! real service busy-time separately, and they never write (a dirty
 //! ghost line would manufacture DRAM writebacks the real machine does
-//! not perform). Ghost generation runs in the serial NoC-arbitration
-//! step of Phase B with a deterministic round-robin replica cursor, so
-//! sampled runs keep the byte-identical determinism contract across
-//! host thread counts.
+//! not perform). Ghost generation runs in the NoC-arbitration step with a
+//! deterministic round-robin replica cursor, so sampled runs reproduce
+//! exactly from run to run.
 //!
 //! ## Extrapolation and its error bound
 //!
@@ -81,8 +80,7 @@ use crate::GpuConfig;
 const GHOST_STRIDE_LINES: u64 = 311;
 
 /// State of the sampled-SM traffic model. Owned by [`crate::Gpu`] only
-/// when [`crate::GpuConfig::sample_sms`] is non-zero; all methods run in
-/// the serial part of Phase B.
+/// when [`crate::GpuConfig::sample_sms`] is non-zero.
 #[derive(Debug)]
 pub(crate) struct SampleModel {
     /// `num_sms` of the machine being modelled.
@@ -153,7 +151,7 @@ impl SampleModel {
         !self.stash.is_empty()
     }
 
-    /// Accumulates one detailed SM's Phase-A instruction delta (the
+    /// Accumulates one detailed SM's per-cycle instruction count (the
     /// imbalance input of the error bound).
     pub(crate) fn record_sm_insts(&mut self, sm: usize, warp_instructions: u64) {
         self.sm_insts[sm] += warp_instructions;

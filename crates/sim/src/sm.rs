@@ -3,7 +3,6 @@
 
 use std::collections::VecDeque;
 
-use crate::front::FrontBuf;
 use crate::{Cache, Packet, Warp};
 
 /// A threadblock resident on an SM.
@@ -49,10 +48,6 @@ pub struct Sm {
     pub free_regs: u32,
     /// Scratchpad bytes not yet claimed.
     pub free_shared: u32,
-    /// Phase-A output buffer: shared-state effects this SM's front end
-    /// generated this cycle, drained serially by Phase B (see
-    /// [`crate::front`]).
-    pub(crate) front: FrontBuf,
 }
 
 impl Sm {
@@ -77,7 +72,6 @@ impl Sm {
             l1,
             free_regs: regs,
             free_shared: shared,
-            front: FrontBuf::default(),
         }
     }
 

@@ -85,8 +85,7 @@ impl GraphConnectivity {
 
     /// The correctly-synchronized configuration with the graph (and the
     /// grid that walks it) scaled up `mult`× — a perf-harness knob for
-    /// demonstrating intra-simulation parallelism on a simulation big
-    /// enough to matter. Not used by any paper table: the unique-race
+    /// timing one simulation big enough to matter. Not used by any paper table: the unique-race
     /// budgets are calibrated at the default sizes only.
     #[must_use]
     pub fn scaled(mult: u32) -> Self {
