@@ -51,9 +51,12 @@ pub const DEFAULT_MAX_FRAME: u32 = 1 << 20;
 /// 0x80, server-to-client types at or above it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameType {
-    /// Client → server: a batch of packed trace events.
+    /// A batch of packed trace events: the transport framing of
+    /// [`trace_to_frames`] and the fault audit. The service does not take
+    /// it; its clients send `StreamEvents`.
     Events,
-    /// Client → server: end of stream; requests the final report.
+    /// Client → server: end of stream. Ends a service session (finalizing
+    /// its open streams) and terminates a [`trace_to_frames`] stream.
     Finish,
     /// Client → server (session protocol): a batch of packed trace events
     /// for one stream of a persistent session; the payload starts with a
@@ -63,10 +66,6 @@ pub enum FrameType {
     /// is the little-endian `u32` stream id. The connection stays open for
     /// further streams.
     StreamFinish,
-    /// Server → client: incremental race report.
-    Report,
-    /// Server → client: final summary (possibly partial, on drain).
-    Done,
     /// Server → client: typed protocol error; the connection is being
     /// closed.
     Error,
@@ -90,8 +89,6 @@ impl FrameType {
             FrameType::Finish => 0x02,
             FrameType::StreamEvents => 0x03,
             FrameType::StreamFinish => 0x04,
-            FrameType::Report => 0x81,
-            FrameType::Done => 0x82,
             FrameType::Error => 0x83,
             FrameType::Busy => 0x84,
             FrameType::StreamReport => 0x85,
@@ -110,8 +107,6 @@ impl FrameType {
             0x02 => FrameType::Finish,
             0x03 => FrameType::StreamEvents,
             0x04 => FrameType::StreamFinish,
-            0x81 => FrameType::Report,
-            0x82 => FrameType::Done,
             0x83 => FrameType::Error,
             0x84 => FrameType::Busy,
             0x85 => FrameType::StreamReport,
@@ -479,7 +474,7 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Encodes `trace` as a complete client stream: header, `Events` frames of
+/// Encodes `trace` as a complete transport stream: header, `Events` frames of
 /// at most `events_per_frame` events, and a `Finish` frame. Returns the
 /// individual wire chunks (header first) so callers can corrupt, batch or
 /// concatenate them as needed.
@@ -736,8 +731,6 @@ mod tests {
             FrameType::Finish,
             FrameType::StreamEvents,
             FrameType::StreamFinish,
-            FrameType::Report,
-            FrameType::Done,
             FrameType::Error,
             FrameType::Busy,
             FrameType::StreamReport,
@@ -757,6 +750,9 @@ mod tests {
             }
         }
         assert!(FrameType::from_code(0x7F).is_err());
+        // 0x81/0x82 (the retired one-shot Report/Done) are unassigned.
+        assert!(FrameType::from_code(0x81).is_err());
+        assert!(FrameType::from_code(0x82).is_err());
     }
 
     #[test]

@@ -69,8 +69,8 @@
 //! directory; it exits nonzero if any stream failed or a probe misbehaved.
 //! `--idle N` additionally parks N idle sessions on the server for the
 //! duration of the run (the mostly-idle fleet shape the reactor is built
-//! for) and `--traces-per-conn K` streams K traces per connection over
-//! the persistent session protocol instead of one connection per trace.
+//! for) and `--traces-per-conn K` streams K traces per connection as
+//! session streams instead of one one-stream session per trace.
 //!
 //! `connsweep` (only by name) runs the mostly-idle connection-count sweep
 //! — in-process servers at 256/1024/4096/10000 parked sessions (clamped

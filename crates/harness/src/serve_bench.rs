@@ -106,9 +106,9 @@ fn probe_deadline(addr: &str, wait_ceiling: Duration) -> Result<(), String> {
     client
         .set_read_timeout(wait_ceiling)
         .map_err(|e| format!("timeout: {e}"))?;
-    // Six bytes of a frame header, then silence.
+    // Six bytes of a `StreamEvents` frame, then silence.
     client
-        .send_bytes(&[0x40, 0x00, 0x00, 0x00, 0x01, 0x00])
+        .send_bytes(&[0x40, 0x00, 0x00, 0x00, 0x03, 0x00])
         .map_err(|e| format!("send: {e}"))?;
     match client.read_outcome() {
         Ok(Outcome::ServerError(info)) if info.code == Some(ErrorCode::DeadlineExceeded) => Ok(()),

@@ -1,10 +1,12 @@
 //! Client side of the race-detection service.
 //!
-//! [`Client`] speaks the `scord_core::wire` stream format over TCP and
-//! decodes the typed responses of [`crate::proto`]. It is deliberately
-//! low-level (send events, send raw bytes, read an outcome) so the
-//! adversarial suite can drive half-open, malformed and slow streams
-//! with the same type the load generator uses for healthy ones.
+//! [`Client`] speaks the session protocol of [`crate::proto`] over the
+//! `scord_core::wire` framing. It is deliberately low-level (send stream
+//! events, send raw bytes, read an outcome) so the adversarial suite can
+//! drive half-open, malformed and slow streams with the same type the
+//! load generator uses for healthy ones. One-shot detection
+//! ([`detect_remote`]) is a one-stream session: the trace travels as
+//! stream 0 and a `Finish` ends the session.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -20,8 +22,8 @@ use crate::proto::{self, Done, ErrorInfo, Report};
 /// How the server ended a stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
-    /// The stream was detected to completion (or flushed partially on
-    /// drain — check [`Done::partial`]).
+    /// The stream's `StreamDone`: detected to completion (or flushed
+    /// partially on drain — check [`Done::partial`]).
     Done(Done),
     /// The server is over its overload watermark; retry later.
     Busy,
@@ -94,18 +96,15 @@ enum SessionFrame {
 
 /// A connection to the service. The stream header is sent on connect.
 ///
-/// One `Client` can drive either the legacy one-trace protocol
-/// ([`send_events`](Self::send_events) … [`finish`](Self::finish)) or a
-/// persistent *session* carrying many traces over one connection
+/// One `Client` drives a persistent *session* carrying any number of
+/// traces over one connection
 /// ([`send_stream_events`](Self::send_stream_events) …
 /// [`finish_stream`](Self::finish_stream) …
-/// [`end_session`](Self::end_session)); the server fixes the dialect by
-/// the first frame it sees, so don't mix the two.
+/// [`end_session`](Self::end_session)).
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
     asm: FrameAssembler,
-    reports: Vec<Report>,
     stream_reports: HashMap<u32, Vec<Report>>,
     pending_dones: HashMap<u32, Done>,
 }
@@ -122,7 +121,6 @@ impl Client {
         let mut client = Client {
             stream,
             asm: FrameAssembler::headerless(),
-            reports: Vec::new(),
             stream_reports: HashMap::new(),
             pending_dones: HashMap::new(),
         };
@@ -132,42 +130,14 @@ impl Client {
         Ok(client)
     }
 
-    /// Bounds how long [`finish`](Self::finish) waits for each response
-    /// read (so a wedged server fails a test instead of hanging it).
+    /// Bounds how long each response read waits (so a wedged server fails
+    /// a test instead of hanging it).
     ///
     /// # Errors
     ///
     /// Any socket error from setting the timeout.
     pub fn set_read_timeout(&mut self, timeout: Duration) -> Result<(), ClientError> {
         self.stream.set_read_timeout(Some(timeout))?;
-        Ok(())
-    }
-
-    /// Sends one `Events` frame.
-    ///
-    /// # Errors
-    ///
-    /// Any socket error from the write.
-    pub fn send_events(&mut self, events: &[TraceEvent]) -> Result<(), ClientError> {
-        let mut frame = Vec::new();
-        wire::encode_frame(FrameType::Events, &wire::encode_events(events), &mut frame);
-        self.stream.write_all(&frame)?;
-        Ok(())
-    }
-
-    /// Sends a whole trace as `Events` frames of `events_per_frame`.
-    ///
-    /// # Errors
-    ///
-    /// Any socket error from the writes.
-    pub fn send_trace(
-        &mut self,
-        trace: &Trace,
-        events_per_frame: usize,
-    ) -> Result<(), ClientError> {
-        for batch in trace.events().chunks(events_per_frame.max(1)) {
-            self.send_events(batch)?;
-        }
         Ok(())
     }
 
@@ -181,54 +151,16 @@ impl Client {
         Ok(())
     }
 
-    /// Incremental reports received so far (populated by
-    /// [`finish`](Self::finish) / [`read_outcome`](Self::read_outcome)).
-    #[must_use]
-    pub fn reports(&self) -> &[Report] {
-        &self.reports
-    }
-
-    /// Sends `Finish` and reads responses until the stream's outcome.
-    /// Incremental reports remain available via [`reports`](Self::reports).
-    ///
-    /// # Errors
-    ///
-    /// See [`ClientError`].
-    pub fn finish(&mut self) -> Result<Outcome, ClientError> {
-        let mut frame = Vec::new();
-        wire::encode_frame(FrameType::Finish, &[], &mut frame);
-        self.stream.write_all(&frame)?;
-        self.read_outcome()
-    }
-
-    /// Reads responses until a terminal frame (`Done`, `Error` or `Busy`)
-    /// without sending anything — used after raw/adversarial writes.
+    /// Reads responses until the next `StreamDone` (of any stream),
+    /// `Error` or `Busy` without sending anything — used after
+    /// raw/adversarial writes. Incremental reports remain available via
+    /// [`stream_reports`](Self::stream_reports).
     ///
     /// # Errors
     ///
     /// See [`ClientError`].
     pub fn read_outcome(&mut self) -> Result<Outcome, ClientError> {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            while let Some(frame) = self.asm.next_frame()? {
-                match frame.ftype {
-                    FrameType::Report => self.reports.push(proto::decode_report(&frame.payload)?),
-                    FrameType::Done => {
-                        return Ok(Outcome::Done(proto::decode_done(&frame.payload)?));
-                    }
-                    FrameType::Error => {
-                        return Ok(Outcome::ServerError(proto::decode_error(&frame.payload)?));
-                    }
-                    FrameType::Busy => return Ok(Outcome::Busy),
-                    other => return Err(ClientError::UnexpectedFrame(other)),
-                }
-            }
-            let n = self.stream.read(&mut buf)?;
-            if n == 0 {
-                return Err(ClientError::ConnectionClosed);
-            }
-            self.asm.push(&buf[..n]);
-        }
+        self.read_until(None)
     }
 
     // -- persistent sessions -----------------------------------------------
@@ -299,12 +231,19 @@ impl Client {
         if let Some(done) = self.pending_dones.remove(&stream) {
             return Ok(Outcome::Done(done));
         }
+        self.read_until(Some(stream))
+    }
+
+    /// Reads until the `StreamDone` of `want` (any stream when `None`) or
+    /// a session-terminal `Error`/`Busy`, buffering other streams'
+    /// `StreamDone`s for their own [`finish_stream`](Self::finish_stream).
+    fn read_until(&mut self, want: Option<u32>) -> Result<Outcome, ClientError> {
         let mut buf = [0u8; 16 * 1024];
         loop {
             while let Some(frame) = self.asm.next_frame()? {
                 match Self::classify_session_frame(&mut self.stream_reports, frame)? {
                     SessionFrame::Done(id, done) => {
-                        if id == stream {
+                        if want.is_none_or(|w| w == id) {
                             return Ok(Outcome::Done(done));
                         }
                         self.pending_dones.insert(id, done);
@@ -381,11 +320,14 @@ impl Client {
     }
 }
 
-/// Convenience: stream `trace` to `addr` and return the outcome.
+/// Convenience: stream `trace` to `addr` as a one-stream session and
+/// return the outcome. The trace travels as stream 0 and a `Finish` ends
+/// the session, so the whole exchange is one round trip.
 ///
 /// # Errors
 ///
-/// See [`ClientError`].
+/// See [`ClientError`]; [`ClientError::ConnectionClosed`] if the server
+/// closes without answering for stream 0.
 pub fn detect_remote<A: ToSocketAddrs>(
     addr: A,
     trace: &Trace,
@@ -393,8 +335,19 @@ pub fn detect_remote<A: ToSocketAddrs>(
 ) -> Result<Outcome, ClientError> {
     let mut client = Client::connect(addr)?;
     client.set_read_timeout(Duration::from_secs(30))?;
-    client.send_trace(trace, events_per_frame)?;
-    client.finish()
+    if trace.is_empty() {
+        // Open stream 0 anyway, so `Finish` answers for it.
+        client.send_stream_events(0, &[])?;
+    }
+    client.send_stream_trace(0, trace, events_per_frame)?;
+    match client.end_session()? {
+        SessionEnd::Closed(dones) => dones
+            .into_iter()
+            .find_map(|(id, done)| (id == 0).then_some(Outcome::Done(done)))
+            .ok_or(ClientError::ConnectionClosed),
+        SessionEnd::Busy => Ok(Outcome::Busy),
+        SessionEnd::ServerError(info) => Ok(Outcome::ServerError(info)),
+    }
 }
 
 /// Convenience: stream every trace over **one** persistent session

@@ -2,8 +2,9 @@
 //!
 //! Drives fuzzed traces (`scord_core::fuzz`) through the service from
 //! several client threads and reports throughput (traces/sec, events/sec)
-//! and per-trace latency percentiles (connect → `Done`). The harness's
-//! `loadgen` subcommand serializes the report into `BENCH_serve.json`.
+//! and per-trace latency percentiles (up to the trace's `StreamDone`).
+//! The harness's `loadgen` subcommand serializes the report into
+//! `BENCH_serve.json`.
 //!
 //! Two knobs target the reactor specifically: `idle_connections` opens a
 //! swarm of parked sessions the active minority must coexist with (the
@@ -41,9 +42,9 @@ pub struct LoadConfig {
     /// minority does the work above. Exercises the mostly-idle fleet
     /// shape; 0 restores the pure active workload.
     pub idle_connections: usize,
-    /// Traces carried per connection. 1 = one legacy connection per
-    /// trace (the PR 6 workload); >1 = persistent sessions, each
-    /// connection streaming this many traces as session streams.
+    /// Traces carried per connection. 1 = one connection per trace, each
+    /// a one-stream session through [`detect_remote`]; >1 = each
+    /// connection streams this many traces as session streams 0, 1, ….
     pub traces_per_conn: usize,
 }
 
@@ -81,7 +82,8 @@ pub struct LoadReport {
     pub traces_per_sec: f64,
     /// Events per second across completed traces.
     pub events_per_sec: f64,
-    /// Median per-trace latency (connect → `Done`), milliseconds.
+    /// Median per-trace latency (connect, or first frame on a shared
+    /// session, → `StreamDone`), milliseconds.
     pub p50_latency_ms: f64,
     /// 99th-percentile per-trace latency, milliseconds.
     pub p99_latency_ms: f64,

@@ -1,20 +1,21 @@
-//! Service payloads: responses and the persistent-session envelope.
+//! Service payloads: the session protocol.
 //!
-//! `scord_core::wire` defines framing and the client-to-server event
-//! encoding; this module defines what travels *back*: incremental
-//! [`Report`]s, the final [`Done`] summary, typed [`ErrorInfo`] responses,
-//! and the empty `Busy` payload — plus the *session* payloads that carry a
-//! `u32` stream id so one connection can multiplex many traces
-//! (`StreamEvents`/`StreamFinish` inbound, `StreamReport`/`StreamDone`
-//! outbound). Kept in `scord-serve` because only the service and its
-//! clients speak these payloads — the core codec stays a pure trace
-//! transport.
+//! `scord_core::wire` defines framing and the packed event encoding; this
+//! module defines the service's payloads, each scoped to a `u32` stream
+//! id so one connection can multiplex many traces: `StreamEvents` and
+//! `StreamFinish` inbound, `StreamReport` (an incremental [`Report`]) and
+//! `StreamDone` (the final [`Done`] summary) outbound, plus typed
+//! [`ErrorInfo`] responses and the empty `Busy` payload. Kept in
+//! `scord-serve` because only the service and its clients speak these
+//! payloads — the core codec stays a pure trace transport.
 //!
 //! ## Session protocol rules
 //!
-//! A connection is *legacy* (one implicit trace, `Events`…`Finish`, exactly
-//! the PR 6 protocol) or a *session* (stream-scoped frames), decided by its
-//! first frame; mixing the two is a protocol violation. Within a session:
+//! Every connection is a session; the service speaks no other dialect. A
+//! one-shot trace is stream 0 followed by `Finish`. The core `Events`
+//! frame is transport framing (`wire::trace_to_frames`, the fault audit),
+//! not service input: the server quarantines it like any other frame it
+//! does not take. Within a session:
 //!
 //! - a stream is opened by the first `StreamEvents`/`StreamFinish` naming
 //!   its id, and ids must be **strictly increasing** in order of opening
@@ -44,8 +45,6 @@ pub enum ErrorCode {
     DeadlineExceeded,
     /// The client disconnected mid-frame (truncated stream).
     Truncated,
-    /// The server is draining and will not accept further events.
-    Draining,
 }
 
 impl ErrorCode {
@@ -57,7 +56,6 @@ impl ErrorCode {
             ErrorCode::BadEvent => 2,
             ErrorCode::DeadlineExceeded => 3,
             ErrorCode::Truncated => 4,
-            ErrorCode::Draining => 5,
         }
     }
 
@@ -69,7 +67,6 @@ impl ErrorCode {
             2 => ErrorCode::BadEvent,
             3 => ErrorCode::DeadlineExceeded,
             4 => ErrorCode::Truncated,
-            5 => ErrorCode::Draining,
             _ => return None,
         })
     }
@@ -82,7 +79,6 @@ impl ErrorCode {
             ErrorCode::BadEvent => "bad-event",
             ErrorCode::DeadlineExceeded => "deadline-exceeded",
             ErrorCode::Truncated => "truncated",
-            ErrorCode::Draining => "draining",
         }
     }
 }
@@ -93,8 +89,8 @@ impl std::fmt::Display for ErrorCode {
     }
 }
 
-/// An incremental race report: counters only (the full unique list rides
-/// in the final [`Done`]).
+/// An incremental race report, carried in a `StreamReport`: counters only
+/// (the full unique list rides in the final [`Done`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Report {
     /// Unique `(pc, kind)` races so far.
@@ -103,7 +99,8 @@ pub struct Report {
     pub total: u64,
 }
 
-/// The final (or drain-time partial) summary for a stream.
+/// The final (or drain-time partial) summary for a stream, carried in a
+/// `StreamDone`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Done {
     /// `true` when the server drained before the client finished; the
@@ -465,7 +462,6 @@ mod tests {
             ErrorCode::BadEvent,
             ErrorCode::DeadlineExceeded,
             ErrorCode::Truncated,
-            ErrorCode::Draining,
         ];
         let mut seen = std::collections::HashSet::new();
         for c in all {
@@ -473,5 +469,9 @@ mod tests {
             assert_eq!(ErrorCode::from_code(c.code()), Some(c));
         }
         assert_eq!(ErrorCode::from_code(0), None);
+        // Code 5 (a retired drain error; drain answers with partial
+        // `StreamDone`s) decodes as an unknown code.
+        let retired = decode_error(&[5, 0]).expect("unknown code still decodes");
+        assert_eq!((retired.code, retired.raw_code), (None, 5));
     }
 }

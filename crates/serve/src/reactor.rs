@@ -1,13 +1,12 @@
 //! Readiness-based I/O primitives, dependency-free.
 //!
 //! The service's event loop needs four things the standard library does
-//! not expose: a readiness selector (`epoll` on Linux, `poll(2)` as the
-//! portable fallback), a cross-thread waker (`eventfd` on Linux, a
-//! self-pipe elsewhere), a timer wheel for progress deadlines, and the
-//! process fd limit for sizing connection sweeps. All of them are built
-//! here on hand-rolled `extern "C"` declarations against the platform C
-//! library — the same idiom [`crate::signal`] uses for `signal(2)` — so
-//! the crate stays free of external dependencies.
+//! not expose: a readiness selector (`epoll`), a cross-thread waker
+//! (`eventfd`), a timer wheel for progress deadlines, and the process fd
+//! limit for sizing connection sweeps. All of them are built here on
+//! hand-rolled `extern "C"` declarations against the C library — the same
+//! idiom [`crate::signal`] uses for `signal(2)` — so the crate stays free
+//! of external dependencies.
 //!
 //! Design notes:
 //!
@@ -20,9 +19,6 @@
 //!   selector never dereferences anything on behalf of the caller, so a
 //!   stale event for a recycled slot is detected by a generation mismatch
 //!   rather than corrupting memory.
-//! - **The poll fallback compiles everywhere Unix** — including Linux —
-//!   so its unit tests run on the machines we actually test on, not just
-//!   on the platforms that need it.
 //! - **The timer wheel is lazy.** Entries past the horizon park in the
 //!   last slot and re-insert themselves when the cursor reaches them, so
 //!   a sweep of the wheel costs O(expired + horizon re-inserts), never
@@ -30,47 +26,17 @@
 //!   of a 10k-connection idle swarm cheap — and the adversarial suite's
 //!   slowloris-at-scale test holds us to it.
 //!
-//! On non-Unix targets every constructor returns
-//! [`std::io::ErrorKind::Unsupported`]; the server surfaces that from
-//! `start()` instead of failing to compile.
+//! The service is Linux-only. Elsewhere the crate still compiles, but
+//! [`Selector::new`] and [`Waker::new`] return
+//! [`std::io::ErrorKind::Unsupported`], which the server surfaces from
+//! `start()`.
 
-use std::io;
 use std::time::{Duration, Instant};
 
-/// Raw file descriptor alias (`i32` everywhere we run).
-#[cfg(unix)]
-pub type RawFd = std::os::unix::io::RawFd;
-/// Raw file descriptor alias (`i32` everywhere we run).
-#[cfg(not(unix))]
+pub use imp::{fd_limit, listener_fd, stream_fd, Selector, Waker};
+
+/// Raw file descriptor alias.
 pub type RawFd = i32;
-
-/// Extracts the raw fd from a listener (Unix) or a placeholder elsewhere.
-#[must_use]
-pub fn listener_fd(l: &std::net::TcpListener) -> RawFd {
-    #[cfg(unix)]
-    {
-        std::os::unix::io::AsRawFd::as_raw_fd(l)
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = l;
-        -1
-    }
-}
-
-/// Extracts the raw fd from a stream (Unix) or a placeholder elsewhere.
-#[must_use]
-pub fn stream_fd(s: &std::net::TcpStream) -> RawFd {
-    #[cfg(unix)]
-    {
-        std::os::unix::io::AsRawFd::as_raw_fd(s)
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = s;
-        -1
-    }
-}
 
 /// Which readiness classes a registration subscribes to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,628 +79,372 @@ pub struct Event {
     pub error: bool,
 }
 
-// ---- C library shims -----------------------------------------------------
+#[cfg(target_os = "linux")]
+mod imp {
+    use std::io;
+    use std::os::unix::io::AsRawFd;
+    use std::time::Duration;
 
-#[cfg(unix)]
-mod sys {
-    use std::os::raw::{c_int, c_ulong, c_void};
+    use super::{Event, Interest, RawFd};
 
-    // `epoll_event` is packed on x86_64 (12 bytes) and naturally aligned
-    // (16 bytes) on other architectures — getting this wrong corrupts
-    // every second event in the kernel-filled array.
-    #[cfg(target_arch = "x86_64")]
-    #[repr(C, packed)]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
+    /// Upper bound on events drained per `wait` call; readiness is
+    /// level-triggered, so anything beyond the bound is re-reported next
+    /// sweep rather than lost.
+    const MAX_EVENTS: usize = 1024;
+
+    pub(super) fn timeout_ms(timeout: Duration) -> i32 {
+        // Round up so a 100µs deadline does not busy-spin as a 0ms wait.
+        let ms = timeout.as_millis().saturating_add(u128::from(
+            !timeout.subsec_nanos().is_multiple_of(1_000_000),
+        ));
+        i32::try_from(ms.min(i32::MAX as u128)).expect("clamped to i32::MAX")
     }
 
-    #[cfg(not(target_arch = "x86_64"))]
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
+    mod sys {
+        use std::os::raw::{c_int, c_void};
+
+        // `epoll_event` is packed on x86_64 (12 bytes) and naturally
+        // aligned (16 bytes) on other architectures — getting this wrong
+        // corrupts every second event in the kernel-filled array.
+        #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+        #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+        #[derive(Clone, Copy)]
+        pub struct EpollEvent {
+            pub events: u32,
+            pub data: u64,
+        }
+
+        #[repr(C)]
+        pub struct RLimit {
+            pub cur: u64,
+            pub max: u64,
+        }
+
+        pub const EPOLL_CLOEXEC: c_int = 0x8_0000;
+        pub const EPOLL_CTL_ADD: c_int = 1;
+        pub const EPOLL_CTL_DEL: c_int = 2;
+        pub const EPOLL_CTL_MOD: c_int = 3;
+        pub const EPOLLIN: u32 = 0x1;
+        pub const EPOLLOUT: u32 = 0x4;
+        pub const EPOLLERR: u32 = 0x8;
+        pub const EPOLLHUP: u32 = 0x10;
+        pub const EPOLLRDHUP: u32 = 0x2000;
+
+        pub const EFD_NONBLOCK: c_int = 0x800;
+        pub const EFD_CLOEXEC: c_int = 0x8_0000;
+
+        pub const RLIMIT_NOFILE: c_int = 7;
+
+        extern "C" {
+            pub fn epoll_create1(flags: c_int) -> c_int;
+            pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+            pub fn epoll_wait(
+                epfd: c_int,
+                events: *mut EpollEvent,
+                maxevents: c_int,
+                timeout_ms: c_int,
+            ) -> c_int;
+            pub fn eventfd(initval: u32, flags: c_int) -> c_int;
+            pub fn close(fd: c_int) -> c_int;
+            pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+            pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+            pub fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
+        }
     }
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: c_int,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    #[repr(C)]
-    pub struct RLimit {
-        pub cur: u64,
-        pub max: u64,
-    }
-
-    pub const EPOLL_CLOEXEC: c_int = 0x8_0000;
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    pub const EPOLL_CTL_MOD: c_int = 3;
-    pub const EPOLLIN: u32 = 0x1;
-    pub const EPOLLOUT: u32 = 0x4;
-    pub const EPOLLERR: u32 = 0x8;
-    pub const EPOLLHUP: u32 = 0x10;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-
-    pub const EFD_NONBLOCK: c_int = 0x800;
-    pub const EFD_CLOEXEC: c_int = 0x8_0000;
-
-    pub const POLLIN: i16 = 0x1;
-    pub const POLLOUT: i16 = 0x4;
-    pub const POLLERR: i16 = 0x8;
-    pub const POLLHUP: i16 = 0x10;
-
-    pub const F_SETFD: c_int = 2;
-    pub const F_GETFL: c_int = 3;
-    pub const F_SETFL: c_int = 4;
-    pub const FD_CLOEXEC: c_int = 1;
-    #[cfg(target_os = "linux")]
-    pub const O_NONBLOCK: c_int = 0x800;
-    #[cfg(not(target_os = "linux"))]
-    pub const O_NONBLOCK: c_int = 0x4;
-
-    pub const RLIMIT_NOFILE: c_int = 7;
-
-    extern "C" {
-        #[cfg(target_os = "linux")]
-        pub fn epoll_create1(flags: c_int) -> c_int;
-        #[cfg(target_os = "linux")]
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        #[cfg(target_os = "linux")]
-        pub fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout_ms: c_int,
-        ) -> c_int;
-        #[cfg(target_os = "linux")]
-        pub fn eventfd(initval: u32, flags: c_int) -> c_int;
-
-        pub fn close(fd: c_int) -> c_int;
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        pub fn pipe(fds: *mut c_int) -> c_int;
-        pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-        pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: c_int) -> c_int;
-        pub fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
-    }
-}
-
-/// The soft `RLIMIT_NOFILE` fd limit for this process, when knowable.
-///
-/// Connection sweeps use this to clamp their top idle tier instead of
-/// dying on `EMFILE` halfway through a benchmark.
-#[must_use]
-pub fn fd_limit() -> Option<u64> {
-    #[cfg(unix)]
-    {
+    /// The soft `RLIMIT_NOFILE` fd limit for this process, when knowable.
+    ///
+    /// Connection sweeps use this to clamp their top idle tier instead of
+    /// dying on `EMFILE` halfway through a benchmark.
+    #[must_use]
+    pub fn fd_limit() -> Option<u64> {
         let mut lim = sys::RLimit { cur: 0, max: 0 };
         // SAFETY: `getrlimit` writes the two-u64 struct we hand it and
         // nothing else.
         let rc = unsafe { sys::getrlimit(sys::RLIMIT_NOFILE, &mut lim) };
-        if rc == 0 {
-            return Some(lim.cur);
-        }
-        None
-    }
-    #[cfg(not(unix))]
-    {
-        None
-    }
-}
-
-#[cfg(unix)]
-fn set_nonblocking_cloexec(fd: RawFd) -> io::Result<()> {
-    // SAFETY: fcntl on an fd we own; F_GETFL/F_SETFL/F_SETFD take an int
-    // argument and only touch that descriptor's flags.
-    unsafe {
-        let flags = sys::fcntl(fd, sys::F_GETFL, 0);
-        if flags < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        if sys::fcntl(fd, sys::F_SETFL, flags | sys::O_NONBLOCK) < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        if sys::fcntl(fd, sys::F_SETFD, sys::FD_CLOEXEC) < 0 {
-            return Err(io::Error::last_os_error());
-        }
-    }
-    Ok(())
-}
-
-fn timeout_ms(timeout: Duration) -> i32 {
-    // Round up so a 100µs deadline does not busy-spin as a 0ms poll.
-    let ms = timeout.as_millis().saturating_add(u128::from(
-        !timeout.subsec_nanos().is_multiple_of(1_000_000),
-    ));
-    i32::try_from(ms.min(i32::MAX as u128)).expect("clamped to i32::MAX")
-}
-
-// ---- selectors -----------------------------------------------------------
-
-/// Readiness selector: `epoll` where available, `poll(2)` elsewhere.
-///
-/// One instance is owned by one event-loop thread; it is not `Sync` and
-/// never needs to be ([`Waker`] is the cross-thread entry point).
-pub enum Selector {
-    /// Linux `epoll` backend.
-    #[cfg(target_os = "linux")]
-    Epoll(EpollSelector),
-    /// Portable `poll(2)` backend.
-    #[cfg(unix)]
-    Poll(PollSelector),
-    /// Placeholder so the type exists off-Unix; constructors never
-    /// produce it successfully.
-    #[cfg(not(unix))]
-    Unsupported,
-}
-
-impl Selector {
-    /// Opens the best selector for this platform.
-    ///
-    /// # Errors
-    ///
-    /// The underlying syscall error, or `Unsupported` off-Unix.
-    #[allow(clippy::needless_return)] // cfg-gated early returns
-    pub fn new() -> io::Result<Selector> {
-        #[cfg(target_os = "linux")]
-        {
-            return Ok(Selector::Epoll(EpollSelector::new()?));
-        }
-        #[cfg(all(unix, not(target_os = "linux")))]
-        {
-            return Ok(Selector::Poll(PollSelector::new()));
-        }
-        #[cfg(not(unix))]
-        {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "readiness selectors require a Unix platform",
-            ))
-        }
+        (rc == 0).then_some(lim.cur)
     }
 
-    /// Opens the portable `poll(2)` backend explicitly (used by tests to
-    /// exercise the fallback on Linux).
-    ///
-    /// # Errors
-    ///
-    /// `Unsupported` off-Unix.
-    pub fn portable() -> io::Result<Selector> {
-        #[cfg(unix)]
-        {
-            Ok(Selector::Poll(PollSelector::new()))
-        }
-        #[cfg(not(unix))]
-        {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "readiness selectors require a Unix platform",
-            ))
-        }
-    }
-
-    /// Short name for logs and benchmark rows.
+    /// The raw fd of a listener.
     #[must_use]
-    pub fn backend(&self) -> &'static str {
-        match self {
-            #[cfg(target_os = "linux")]
-            Selector::Epoll(_) => "epoll",
-            #[cfg(unix)]
-            Selector::Poll(_) => "poll",
-            #[cfg(not(unix))]
-            Selector::Unsupported => "unsupported",
-        }
+    pub fn listener_fd(l: &std::net::TcpListener) -> RawFd {
+        l.as_raw_fd()
     }
 
-    /// Registers `fd` under `token` with the given interest.
+    /// The raw fd of a stream.
+    #[must_use]
+    pub fn stream_fd(s: &std::net::TcpStream) -> RawFd {
+        s.as_raw_fd()
+    }
+
+    /// Level-triggered `epoll` readiness selector.
     ///
-    /// # Errors
-    ///
-    /// The underlying syscall error.
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Selector::Epoll(s) => s.ctl(sys::EPOLL_CTL_ADD, fd, token, interest),
-            #[cfg(unix)]
-            Selector::Poll(s) => s.register(fd, token, interest),
-            #[cfg(not(unix))]
-            Selector::Unsupported => unsupported(),
-        }
+    /// One instance is owned by one event-loop thread; it is not `Sync`
+    /// and never needs to be ([`Waker`] is the cross-thread entry point).
+    pub struct Selector {
+        epfd: RawFd,
+        buf: Vec<sys::EpollEvent>,
     }
 
-    /// Changes the interest set (and/or token) of a registered fd.
-    ///
-    /// # Errors
-    ///
-    /// The underlying syscall error.
-    pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Selector::Epoll(s) => s.ctl(sys::EPOLL_CTL_MOD, fd, token, interest),
-            #[cfg(unix)]
-            Selector::Poll(s) => s.reregister(fd, token, interest),
-            #[cfg(not(unix))]
-            Selector::Unsupported => unsupported(),
-        }
-    }
-
-    /// Removes a registration. Must be called before the fd is closed.
-    ///
-    /// # Errors
-    ///
-    /// The underlying syscall error.
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Selector::Epoll(s) => s.ctl(
-                sys::EPOLL_CTL_DEL,
-                fd,
-                0,
-                Interest {
-                    readable: false,
-                    writable: false,
-                },
-            ),
-            #[cfg(unix)]
-            Selector::Poll(s) => s.deregister(fd),
-            #[cfg(not(unix))]
-            Selector::Unsupported => unsupported(),
-        }
-    }
-
-    /// Blocks until readiness or `timeout`, filling `events` (cleared
-    /// first). A signal interruption returns an empty set, not an error.
-    ///
-    /// # Errors
-    ///
-    /// The underlying syscall error.
-    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-        events.clear();
-        match self {
-            #[cfg(target_os = "linux")]
-            Selector::Epoll(s) => s.wait(events, timeout),
-            #[cfg(unix)]
-            Selector::Poll(s) => s.wait(events, timeout),
-            #[cfg(not(unix))]
-            Selector::Unsupported => unsupported(),
-        }
-    }
-}
-
-#[cfg(not(unix))]
-fn unsupported() -> io::Result<()> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "readiness selectors require a Unix platform",
-    ))
-}
-
-/// Upper bound on events drained per `wait` call; readiness is
-/// level-triggered, so anything beyond the bound is re-reported next
-/// sweep rather than lost.
-const MAX_EVENTS: usize = 1024;
-
-/// Linux `epoll` selector.
-#[cfg(target_os = "linux")]
-pub struct EpollSelector {
-    epfd: RawFd,
-    buf: Vec<sys::EpollEvent>,
-}
-
-#[cfg(target_os = "linux")]
-impl EpollSelector {
-    fn new() -> io::Result<EpollSelector> {
-        // SAFETY: plain syscall; the returned fd is owned by this struct
-        // and closed in Drop.
-        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(EpollSelector {
-            epfd,
-            buf: vec![sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS],
-        })
-    }
-
-    fn ctl(&mut self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let mut mask = sys::EPOLLRDHUP;
-        if interest.readable {
-            mask |= sys::EPOLLIN;
-        }
-        if interest.writable {
-            mask |= sys::EPOLLOUT;
-        }
-        let mut ev = sys::EpollEvent {
-            events: mask,
-            data: token,
-        };
-        let evp = if op == sys::EPOLL_CTL_DEL {
-            std::ptr::null_mut()
-        } else {
-            &mut ev
-        };
-        // SAFETY: `epfd` and `fd` are live descriptors; the event struct
-        // outlives the call (epoll copies it).
-        if unsafe { sys::epoll_ctl(self.epfd, op, fd, evp) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-        // SAFETY: `buf` is MAX_EVENTS structs the kernel fills; `n` caps
-        // how many we read back.
-        let n = unsafe {
-            sys::epoll_wait(
-                self.epfd,
-                self.buf.as_mut_ptr(),
-                MAX_EVENTS as i32,
-                timeout_ms(timeout),
-            )
-        };
-        if n < 0 {
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(());
-            }
-            return Err(err);
-        }
-        for raw in &self.buf[..n as usize] {
-            // Copy out of the (possibly packed) struct before touching
-            // fields.
-            let raw = *raw;
-            let mask = raw.events;
-            events.push(Event {
-                token: raw.data,
-                readable: mask & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0,
-                writable: mask & sys::EPOLLOUT != 0,
-                error: mask & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
-            });
-        }
-        Ok(())
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for EpollSelector {
-    fn drop(&mut self) {
-        // SAFETY: closing the epoll fd we created.
-        unsafe {
-            sys::close(self.epfd);
-        }
-    }
-}
-
-/// Portable `poll(2)` selector: a registration table re-materialised into
-/// a `pollfd` array per wait. O(n) per sweep — the fallback, not the fast
-/// path.
-#[cfg(unix)]
-pub struct PollSelector {
-    entries: Vec<(RawFd, u64, Interest)>,
-    buf: Vec<sys::PollFd>,
-}
-
-#[cfg(unix)]
-impl PollSelector {
-    fn new() -> PollSelector {
-        PollSelector {
-            entries: Vec::new(),
-            buf: Vec::new(),
-        }
-    }
-
-    fn position(&self, fd: RawFd) -> Option<usize> {
-        self.entries.iter().position(|(f, _, _)| *f == fd)
-    }
-
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        if self.position(fd).is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                "fd already registered",
-            ));
-        }
-        self.entries.push((fd, token, interest));
-        Ok(())
-    }
-
-    fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let at = self
-            .position(fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.entries[at] = (fd, token, interest);
-        Ok(())
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        let at = self
-            .position(fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.entries.swap_remove(at);
-        Ok(())
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-        self.buf.clear();
-        for &(fd, _, interest) in &self.entries {
-            let mut mask = 0i16;
-            if interest.readable {
-                mask |= sys::POLLIN;
-            }
-            if interest.writable {
-                mask |= sys::POLLOUT;
-            }
-            self.buf.push(sys::PollFd {
-                fd,
-                events: mask,
-                revents: 0,
-            });
-        }
-        // SAFETY: `buf` is `entries.len()` pollfd structs; poll writes
-        // only their `revents` fields.
-        let n = unsafe {
-            sys::poll(
-                self.buf.as_mut_ptr(),
-                self.buf.len() as std::os::raw::c_ulong,
-                timeout_ms(timeout),
-            )
-        };
-        if n < 0 {
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(());
-            }
-            return Err(err);
-        }
-        for (pfd, &(_, token, _)) in self.buf.iter().zip(&self.entries) {
-            let got = pfd.revents;
-            if got == 0 {
-                continue;
-            }
-            events.push(Event {
-                token,
-                readable: got & (sys::POLLIN | sys::POLLHUP) != 0,
-                writable: got & sys::POLLOUT != 0,
-                error: got & (sys::POLLERR | sys::POLLHUP) != 0,
-            });
-            if events.len() == MAX_EVENTS {
-                break;
-            }
-        }
-        Ok(())
-    }
-}
-
-// ---- waker ---------------------------------------------------------------
-
-/// Cross-thread wakeup for a [`Selector`]: shard workers and `shutdown()`
-/// call [`Waker::wake`]; the event loop registers [`Waker::fd`] for
-/// readability and calls [`Waker::drain`] when it fires.
-///
-/// `eventfd` on Linux, a nonblocking self-pipe elsewhere; both ends are
-/// `CLOEXEC` and the write never blocks (a full pipe already guarantees a
-/// pending wakeup).
-pub struct Waker {
-    read_fd: RawFd,
-    write_fd: RawFd,
-    is_eventfd: bool,
-}
-
-// SAFETY: wake() only ever issues a write(2) on an fd that lives as long
-// as the Waker; concurrent writes to an eventfd/pipe are atomic at these
-// sizes.
-unsafe impl Send for Waker {}
-unsafe impl Sync for Waker {}
-
-impl Waker {
-    /// Opens a waker.
-    ///
-    /// # Errors
-    ///
-    /// The underlying syscall error, or `Unsupported` off-Unix.
-    pub fn new() -> io::Result<Waker> {
-        #[cfg(target_os = "linux")]
-        {
-            // SAFETY: plain syscall; fd owned here, closed in Drop.
-            let fd = unsafe { sys::eventfd(0, sys::EFD_NONBLOCK | sys::EFD_CLOEXEC) };
-            if fd >= 0 {
-                return Ok(Waker {
-                    read_fd: fd,
-                    write_fd: fd,
-                    is_eventfd: true,
-                });
-            }
-            // Ancient kernel without eventfd: fall through to the pipe.
-        }
-        #[cfg(unix)]
-        {
-            let mut fds = [0 as RawFd; 2];
-            // SAFETY: pipe() fills exactly two fds on success.
-            if unsafe { sys::pipe(fds.as_mut_ptr()) } < 0 {
+    impl Selector {
+        /// Opens an `epoll` instance.
+        ///
+        /// # Errors
+        ///
+        /// The underlying syscall error.
+        pub fn new() -> io::Result<Selector> {
+            // SAFETY: plain syscall; the returned fd is owned by this
+            // struct and closed in Drop.
+            let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
+            if epfd < 0 {
                 return Err(io::Error::last_os_error());
             }
-            for fd in fds {
-                if let Err(e) = set_nonblocking_cloexec(fd) {
-                    // SAFETY: closing the fds we just opened.
-                    unsafe {
-                        sys::close(fds[0]);
-                        sys::close(fds[1]);
-                    }
-                    return Err(e);
-                }
-            }
-            Ok(Waker {
-                read_fd: fds[0],
-                write_fd: fds[1],
-                is_eventfd: false,
+            Ok(Selector {
+                epfd,
+                buf: vec![sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS],
             })
         }
-        #[cfg(not(unix))]
-        {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "wakers require a Unix platform",
-            ))
+
+        /// Registers `fd` under `token` with the given interest.
+        ///
+        /// # Errors
+        ///
+        /// The underlying syscall error.
+        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
+        }
+
+        /// Changes the interest set (and/or token) of a registered fd.
+        ///
+        /// # Errors
+        ///
+        /// The underlying syscall error.
+        pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
+        }
+
+        /// Removes a registration. Must be called before the fd is closed.
+        ///
+        /// # Errors
+        ///
+        /// The underlying syscall error.
+        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+            let none = Interest {
+                readable: false,
+                writable: false,
+            };
+            self.ctl(sys::EPOLL_CTL_DEL, fd, 0, none)
+        }
+
+        fn ctl(&mut self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            let mut mask = sys::EPOLLRDHUP;
+            if interest.readable {
+                mask |= sys::EPOLLIN;
+            }
+            if interest.writable {
+                mask |= sys::EPOLLOUT;
+            }
+            let mut ev = sys::EpollEvent {
+                events: mask,
+                data: token,
+            };
+            let evp = if op == sys::EPOLL_CTL_DEL {
+                std::ptr::null_mut()
+            } else {
+                &mut ev
+            };
+            // SAFETY: `epfd` and `fd` are live descriptors; the event
+            // struct outlives the call (epoll copies it).
+            if unsafe { sys::epoll_ctl(self.epfd, op, fd, evp) } < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(())
+        }
+
+        /// Blocks until readiness or `timeout`, filling `events` (cleared
+        /// first). A signal interruption returns an empty set, not an
+        /// error.
+        ///
+        /// # Errors
+        ///
+        /// The underlying syscall error.
+        pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
+            events.clear();
+            // SAFETY: `buf` is MAX_EVENTS structs the kernel fills; `n`
+            // caps how many we read back.
+            let n = unsafe {
+                sys::epoll_wait(
+                    self.epfd,
+                    self.buf.as_mut_ptr(),
+                    MAX_EVENTS as i32,
+                    timeout_ms(timeout),
+                )
+            };
+            if n < 0 {
+                let err = io::Error::last_os_error();
+                if err.kind() == io::ErrorKind::Interrupted {
+                    return Ok(());
+                }
+                return Err(err);
+            }
+            for raw in &self.buf[..n as usize] {
+                // Copy out of the (possibly packed) struct before touching
+                // fields.
+                let raw = *raw;
+                let mask = raw.events;
+                events.push(Event {
+                    token: raw.data,
+                    readable: mask & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0,
+                    writable: mask & sys::EPOLLOUT != 0,
+                    error: mask & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
+                });
+            }
+            Ok(())
         }
     }
 
-    /// The fd to register for readability.
-    #[must_use]
-    pub fn fd(&self) -> RawFd {
-        self.read_fd
-    }
-
-    /// Wakes the selector. Callable from any thread, never blocks.
-    pub fn wake(&self) {
-        #[cfg(unix)]
-        {
-            let buf: [u8; 8] = 1u64.to_ne_bytes();
-            let len = if self.is_eventfd { 8 } else { 1 };
-            // SAFETY: writing <=8 bytes from a stack buffer to an fd we
-            // own; EAGAIN (already-pending wakeup) is success for our
-            // purposes.
+    impl Drop for Selector {
+        fn drop(&mut self) {
+            // SAFETY: closing the epoll fd we created.
             unsafe {
-                sys::write(self.write_fd, buf.as_ptr().cast(), len);
+                sys::close(self.epfd);
             }
         }
     }
 
-    /// Consumes pending wakeups so level-triggered readiness stops firing.
-    pub fn drain(&self) {
-        #[cfg(unix)]
-        {
-            let mut buf = [0u8; 64];
-            loop {
-                // SAFETY: reading into a stack buffer from a nonblocking
-                // fd we own.
-                let n = unsafe { sys::read(self.read_fd, buf.as_mut_ptr().cast(), buf.len()) };
-                if self.is_eventfd || n <= 0 {
-                    // eventfd resets on one read; the pipe drains until
-                    // EAGAIN/EOF.
-                    break;
-                }
+    /// Cross-thread wakeup for a [`Selector`]: shard workers and
+    /// `shutdown()` call [`Waker::wake`]; the event loop registers
+    /// [`Waker::fd`] for readability and calls [`Waker::drain`] when it
+    /// fires.
+    ///
+    /// A nonblocking, `CLOEXEC` `eventfd`: wakes add to its counter (a
+    /// saturated counter already guarantees a pending wakeup, so `wake`
+    /// never blocks) and one read resets it.
+    pub struct Waker {
+        fd: RawFd,
+    }
+
+    impl Waker {
+        /// Opens a waker.
+        ///
+        /// # Errors
+        ///
+        /// The underlying syscall error.
+        pub fn new() -> io::Result<Waker> {
+            // SAFETY: plain syscall; fd owned here, closed in Drop.
+            let fd = unsafe { sys::eventfd(0, sys::EFD_NONBLOCK | sys::EFD_CLOEXEC) };
+            if fd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(Waker { fd })
+        }
+
+        /// The fd to register for readability.
+        #[must_use]
+        pub fn fd(&self) -> RawFd {
+            self.fd
+        }
+
+        /// Wakes the selector. Callable from any thread, never blocks.
+        pub fn wake(&self) {
+            let buf: [u8; 8] = 1u64.to_ne_bytes();
+            // SAFETY: writing 8 bytes from a stack buffer to an fd we own;
+            // EAGAIN (already-pending wakeup) is success for our purposes.
+            unsafe {
+                sys::write(self.fd, buf.as_ptr().cast(), buf.len());
+            }
+        }
+
+        /// Consumes pending wakeups so level-triggered readiness stops
+        /// firing.
+        pub fn drain(&self) {
+            let mut buf = [0u8; 8];
+            // SAFETY: reading 8 bytes into a stack buffer from a
+            // nonblocking fd we own; one read resets an eventfd.
+            unsafe {
+                sys::read(self.fd, buf.as_mut_ptr().cast(), buf.len());
+            }
+        }
+    }
+
+    impl Drop for Waker {
+        fn drop(&mut self) {
+            // SAFETY: closing the eventfd we opened.
+            unsafe {
+                sys::close(self.fd);
             }
         }
     }
 }
 
-impl Drop for Waker {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        // SAFETY: closing fds we opened; the pair is distinct unless
-        // eventfd-backed.
-        unsafe {
-            sys::close(self.read_fd);
-            if !self.is_eventfd {
-                sys::close(self.write_fd);
-            }
+/// Off Linux there is no backend: the constructors fail with
+/// `Unsupported`, so no selector or waker ever exists and the remaining
+/// methods are unreachable.
+#[cfg(not(target_os = "linux"))]
+#[allow(missing_docs)]
+mod imp {
+    use std::io;
+    use std::time::Duration;
+
+    use super::{Event, Interest, RawFd};
+
+    fn unsupported() -> io::Error {
+        io::Error::new(
+            io::ErrorKind::Unsupported,
+            "the service reactor requires Linux (epoll + eventfd)",
+        )
+    }
+
+    #[must_use]
+    pub fn fd_limit() -> Option<u64> {
+        None
+    }
+
+    #[must_use]
+    pub fn listener_fd(_: &std::net::TcpListener) -> RawFd {
+        -1
+    }
+
+    #[must_use]
+    pub fn stream_fd(_: &std::net::TcpStream) -> RawFd {
+        -1
+    }
+
+    pub enum Selector {}
+
+    impl Selector {
+        pub fn new() -> io::Result<Selector> {
+            Err(unsupported())
+        }
+        pub fn register(&mut self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
+            match *self {}
+        }
+        pub fn reregister(&mut self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
+            match *self {}
+        }
+        pub fn deregister(&mut self, _: RawFd) -> io::Result<()> {
+            match *self {}
+        }
+        pub fn wait(&mut self, _: &mut Vec<Event>, _: Duration) -> io::Result<()> {
+            match *self {}
+        }
+    }
+
+    pub enum Waker {}
+
+    impl Waker {
+        pub fn new() -> io::Result<Waker> {
+            Err(unsupported())
+        }
+        #[must_use]
+        pub fn fd(&self) -> RawFd {
+            match *self {}
+        }
+        pub fn wake(&self) {
+            match *self {}
+        }
+        pub fn drain(&self) {
+            match *self {}
         }
     }
 }
@@ -856,19 +566,20 @@ impl TimerWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
 
+    #[cfg(target_os = "linux")]
     #[test]
     fn fd_limit_is_knowable_on_unix() {
-        #[cfg(unix)]
         assert!(fd_limit().expect("getrlimit works") > 0);
-        #[cfg(not(unix))]
-        assert!(fd_limit().is_none());
     }
 
-    #[cfg(unix)]
-    fn exercise_selector(mut sel: Selector) {
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn default_selector_reports_readiness() {
+        use std::io::{Read, Write};
+        use std::net::{TcpListener, TcpStream};
+
+        let mut sel = Selector::new().expect("selector");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let mut client = TcpStream::connect(addr).expect("connect");
@@ -915,25 +626,7 @@ mod tests {
         assert!(events.is_empty(), "events after deregister: {events:?}");
     }
 
-    #[cfg(unix)]
-    #[test]
-    fn default_selector_reports_readiness() {
-        exercise_selector(Selector::new().expect("selector"));
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn portable_selector_reports_readiness() {
-        exercise_selector(Selector::portable().expect("selector"));
-    }
-
     #[cfg(target_os = "linux")]
-    #[test]
-    fn default_selector_is_epoll_on_linux() {
-        assert_eq!(Selector::new().expect("selector").backend(), "epoll");
-    }
-
-    #[cfg(unix)]
     #[test]
     fn waker_unblocks_wait_from_another_thread() {
         let mut sel = Selector::new().expect("selector");
@@ -1032,8 +725,11 @@ mod tests {
         assert!(tick >= Duration::from_millis(5), "tick {tick:?}");
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
     fn timeout_ms_rounds_up() {
+        use imp::timeout_ms;
+
         assert_eq!(timeout_ms(Duration::from_micros(100)), 1);
         assert_eq!(timeout_ms(Duration::from_millis(3)), 3);
         assert_eq!(timeout_ms(Duration::ZERO), 0);

@@ -34,13 +34,13 @@
 //!
 //! ## Sessions
 //!
-//! A connection is *legacy* (one implicit trace, `Events`…`Finish`) or a
-//! *session* (stream-scoped frames, multiple traces per connection),
-//! decided by its first frame — see [`crate::proto`] for the rules. Only
-//! connections with an unfinished trace are subject to the progress
-//! deadline: an idle session (or a connection that has sent nothing but
-//! its header) parks for free, which is what makes a mostly-idle swarm
-//! cheap, while a half-sent frame is still reaped on schedule.
+//! Every connection is a *session*: stream-scoped frames carrying any
+//! number of traces — see [`crate::proto`] for the rules. A one-shot trace
+//! is simply stream 0 followed by `Finish`. Only connections with an
+//! unfinished trace are subject to the progress deadline: an idle session
+//! (or a connection that has sent nothing but its header) parks for free,
+//! which is what makes a mostly-idle swarm cheap, while a half-sent frame
+//! is still reaped on schedule.
 //!
 //! ## Robustness contract (unchanged from the thread-per-connection
 //! server; the adversarial suite is the spec)
@@ -56,8 +56,9 @@
 //!   half-close so the error outruns the RST); other streams share
 //!   nothing with it and are unaffected.
 //! - **Drain**: [`Server::shutdown`] (or SIGTERM via [`crate::signal`])
-//!   stops accepting, stops reading, flushes a partial `Done` for every
-//!   in-flight stream, and joins every thread before returning.
+//!   stops accepting, stops reading, flushes a partial `StreamDone` for
+//!   every open stream, closes connections that never sent work without a
+//!   frame, and joins every thread before returning.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -135,9 +136,9 @@ pub struct StatsSnapshot {
     pub quarantined: u64,
     /// Connections that disconnected mid-stream (EOF before `Finish`).
     pub disconnected: u64,
-    /// Streams completed normally (full `Done` sent).
+    /// Streams completed normally (full `StreamDone` sent).
     pub completed: u64,
-    /// Streams flushed with a partial `Done` during drain.
+    /// Streams flushed with a partial `StreamDone` during drain.
     pub drained_partial: u64,
 }
 
@@ -234,18 +235,14 @@ impl<T> Mailbox<T> {
 /// travel undecoded — the loop never spends its cycles in
 /// `decode_events`.
 enum ShardItem {
-    /// An `Events` payload for a legacy (implicit-stream) connection.
-    LegacyEvents(Vec<u8>),
-    /// Legacy `Finish`: emit the full report and close.
-    LegacyFinish,
-    /// A `StreamEvents` payload (id already stripped) for a session.
+    /// A `StreamEvents` payload (id already stripped).
     StreamEvents { stream: u32, bytes: Vec<u8> },
     /// `StreamFinish`: emit this stream's full report; session persists.
     StreamFinish { stream: u32 },
     /// Session-level `Finish` ("bye"): finalize remaining open streams,
     /// then close.
     Bye,
-    /// Server drain: flush partial report(s) for whatever is open, then
+    /// Server drain: flush a partial report for every open stream, then
     /// close.
     Drain,
     /// The loop closed the socket; forget all state, emit nothing.
@@ -376,12 +373,12 @@ impl StreamDet {
     }
 }
 
-/// Shard-side per-connection state. `Killed` tombstones a quarantined
-/// connection so work already in the mailbox is discarded instead of
-/// resurrecting it; the loop's final `Close` removes the tombstone.
+/// Shard-side per-connection state: the open streams, or `Killed`, a
+/// tombstone for a quarantined connection so work already in the mailbox
+/// is discarded instead of resurrecting it; the loop's final `Close`
+/// removes the tombstone.
 enum ShardConn {
-    Legacy(Box<StreamDet>),
-    Session(Vec<(u32, StreamDet)>),
+    Open(Vec<(u32, StreamDet)>),
     Killed,
 }
 
@@ -400,6 +397,30 @@ impl ShardCtx<'_> {
             conn,
             bytes: error_frame(code, msg),
             linger: true,
+        });
+    }
+
+    /// Closes the connection after one `StreamDone` per stream, in id
+    /// order, each counted as completed (or as drained when `partial`).
+    fn finish_all(&mut self, conn: u64, mut streams: Vec<(u32, StreamDet)>, partial: bool) {
+        let counter = if partial {
+            &self.stats.drained_partial
+        } else {
+            &self.stats.completed
+        };
+        streams.sort_by_key(|(id, _)| *id);
+        let mut bytes = Vec::new();
+        for (stream, sd) in &streams {
+            counter.fetch_add(1, Ordering::Relaxed);
+            bytes.extend_from_slice(&frame_bytes(
+                FrameType::StreamDone,
+                &proto::encode_stream_done(*stream, &sd.done(partial)),
+            ));
+        }
+        self.out.push(LoopMsg::FinishConn {
+            conn,
+            bytes,
+            linger: false,
         });
     }
 }
@@ -445,54 +466,11 @@ fn shard_handle(conns: &mut HashMap<u64, ShardConn>, msg: ShardMsg, ctx: &mut Sh
         return; // quarantined: discard queued work until the loop closes
     }
     match item {
-        ShardItem::LegacyEvents(bytes) => {
-            ctx.acks.push((conn, 1));
-            let ShardConn::Legacy(sd) = conns
-                .entry(conn)
-                .or_insert_with(|| ShardConn::Legacy(Box::new(StreamDet::new(ctx.mem_bytes))))
-            else {
-                return; // protocol mixing is quarantined at the loop
-            };
-            match wire::decode_events(&bytes) {
-                Ok(events) => {
-                    if let Err(err) = sd.apply_all(&events) {
-                        ctx.kill(
-                            conns,
-                            conn,
-                            ErrorCode::BadEvent,
-                            &format!("detector rejected event: {err}"),
-                        );
-                        return;
-                    }
-                    if let Some(report) = sd.report_if_grown() {
-                        ctx.out.push(LoopMsg::Append {
-                            conn,
-                            bytes: frame_bytes(FrameType::Report, &proto::encode_report(&report)),
-                        });
-                    }
-                }
-                Err(err) => ctx.kill(conns, conn, quarantine_code(&err), &err.to_string()),
-            }
-        }
-        ShardItem::LegacyFinish => {
-            let sd = match conns.remove(&conn) {
-                Some(ShardConn::Legacy(sd)) => sd,
-                // Finish with no prior events: an empty trace is a valid
-                // (raceless) stream.
-                _ => Box::new(StreamDet::new(ctx.mem_bytes)),
-            };
-            ctx.stats.completed.fetch_add(1, Ordering::Relaxed);
-            ctx.out.push(LoopMsg::FinishConn {
-                conn,
-                bytes: frame_bytes(FrameType::Done, &proto::encode_done(&sd.done(false))),
-                linger: false,
-            });
-        }
         ShardItem::StreamEvents { stream, bytes } => {
             ctx.acks.push((conn, 1));
-            let ShardConn::Session(streams) = conns
+            let ShardConn::Open(streams) = conns
                 .entry(conn)
-                .or_insert_with(|| ShardConn::Session(Vec::new()))
+                .or_insert_with(|| ShardConn::Open(Vec::new()))
             else {
                 return;
             };
@@ -528,17 +506,15 @@ fn shard_handle(conns: &mut HashMap<u64, ShardConn>, msg: ShardMsg, ctx: &mut Sh
             }
         }
         ShardItem::StreamFinish { stream } => {
-            let entry = conns
-                .entry(conn)
-                .or_insert_with(|| ShardConn::Session(Vec::new()));
-            let ShardConn::Session(streams) = entry else {
-                return;
-            };
-            let sd = match streams.iter().position(|(id, _)| *id == stream) {
-                Some(at) => streams.swap_remove(at).1,
-                // Opened and finished with no events: an empty stream.
-                None => StreamDet::new(ctx.mem_bytes),
-            };
+            let sd = match conns.get_mut(&conn) {
+                Some(ShardConn::Open(streams)) => streams
+                    .iter()
+                    .position(|(id, _)| *id == stream)
+                    .map(|at| streams.swap_remove(at).1),
+                _ => None,
+            }
+            // Opened and finished with no events: an empty stream.
+            .unwrap_or_else(|| StreamDet::new(ctx.mem_bytes));
             ctx.stats.completed.fetch_add(1, Ordering::Relaxed);
             ctx.out.push(LoopMsg::Append {
                 conn,
@@ -548,57 +524,13 @@ fn shard_handle(conns: &mut HashMap<u64, ShardConn>, msg: ShardMsg, ctx: &mut Sh
                 ),
             });
         }
-        ShardItem::Bye => {
-            let mut streams = match conns.remove(&conn) {
-                Some(ShardConn::Session(streams)) => streams,
+        ShardItem::Bye | ShardItem::Drain => {
+            let streams = match conns.remove(&conn) {
+                Some(ShardConn::Open(streams)) => streams,
                 _ => Vec::new(),
             };
-            streams.sort_by_key(|(id, _)| *id);
-            let mut bytes = Vec::new();
-            for (stream, sd) in &streams {
-                ctx.stats.completed.fetch_add(1, Ordering::Relaxed);
-                bytes.extend_from_slice(&frame_bytes(
-                    FrameType::StreamDone,
-                    &proto::encode_stream_done(*stream, &sd.done(false)),
-                ));
-            }
-            ctx.out.push(LoopMsg::FinishConn {
-                conn,
-                bytes,
-                linger: false,
-            });
+            ctx.finish_all(conn, streams, matches!(item, ShardItem::Drain));
         }
-        ShardItem::Drain => match conns.remove(&conn) {
-            Some(ShardConn::Killed) => {}
-            Some(ShardConn::Session(mut streams)) => {
-                streams.sort_by_key(|(id, _)| *id);
-                let mut bytes = Vec::new();
-                for (stream, sd) in &streams {
-                    ctx.stats.drained_partial.fetch_add(1, Ordering::Relaxed);
-                    bytes.extend_from_slice(&frame_bytes(
-                        FrameType::StreamDone,
-                        &proto::encode_stream_done(*stream, &sd.done(true)),
-                    ));
-                }
-                ctx.out.push(LoopMsg::FinishConn {
-                    conn,
-                    bytes,
-                    linger: false,
-                });
-            }
-            removed => {
-                let sd = match removed {
-                    Some(ShardConn::Legacy(sd)) => sd,
-                    _ => Box::new(StreamDet::new(ctx.mem_bytes)),
-                };
-                ctx.stats.drained_partial.fetch_add(1, Ordering::Relaxed);
-                ctx.out.push(LoopMsg::FinishConn {
-                    conn,
-                    bytes: frame_bytes(FrameType::Done, &proto::encode_done(&sd.done(true))),
-                    linger: false,
-                });
-            }
-        },
         ShardItem::Close => unreachable!("handled above"),
     }
 }
@@ -634,15 +566,6 @@ enum Phase {
     Linger { until: Instant },
 }
 
-/// Which protocol dialect the connection speaks (fixed by its first
-/// frame; mixing is quarantined).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Unknown,
-    Legacy { open: bool },
-    Session,
-}
-
 struct Conn {
     stream: TcpStream,
     fd: RawFd,
@@ -656,9 +579,10 @@ struct Conn {
     shard: usize,
     shard_known: bool,
     phase: Phase,
-    mode: Mode,
     open_ids: Vec<u32>,
-    next_stream_min: u32,
+    /// Lowest id a new stream may open with; `u64` so that finishing
+    /// `u32::MAX` still moves it past every valid id.
+    next_stream_min: u64,
     last_progress: Instant,
     write_blocked_since: Option<Instant>,
     armed: bool,
@@ -672,20 +596,30 @@ impl Conn {
     }
 
     /// Subject to the progress deadline? Only connections the client has
-    /// left mid-trace: a half-received frame, an unfinished legacy
-    /// stream, or open session streams. Idle sessions and header-only
-    /// connections park for free — that exemption is what lets a 10k
-    /// idle swarm coexist with a sub-second deadline.
+    /// left mid-trace: a half-received frame or open streams. Idle
+    /// sessions and header-only connections park for free — that
+    /// exemption is what lets a 10k idle swarm coexist with a sub-second
+    /// deadline.
     fn reapable(&self) -> bool {
-        if self.phase != Phase::Streaming {
-            return false;
+        self.phase == Phase::Streaming
+            && (self.asm.pending_bytes() > 0 || !self.open_ids.is_empty())
+    }
+
+    /// Applies the strictly-increasing id rule to a stream named by a
+    /// frame: `Ok(true)` if it is already open, `Ok(false)` if this frame
+    /// opens it, and a quarantine if the id was used before.
+    fn admit_stream(&mut self, stream: u32) -> Result<bool, Action> {
+        if self.open_ids.contains(&stream) {
+            return Ok(true);
         }
-        self.asm.pending_bytes() > 0
-            || match self.mode {
-                Mode::Legacy { open } => open,
-                Mode::Session => !self.open_ids.is_empty(),
-                Mode::Unknown => false,
-            }
+        if u64::from(stream) < self.next_stream_min {
+            return Err(Action::Quarantine(
+                ErrorCode::Malformed,
+                format!("stream id {stream} reused (ids must be strictly increasing)"),
+            ));
+        }
+        self.next_stream_min = u64::from(stream) + 1;
+        Ok(false)
     }
 
     fn has_unflushed(&self) -> bool {
@@ -740,86 +674,50 @@ enum Action {
     Quarantine(ErrorCode, String),
 }
 
-/// Enforces the protocol state machine for one frame, updating the
-/// connection's mode/stream bookkeeping. Pure with respect to the loop —
-/// all I/O consequences are in the returned [`Action`].
-fn decide(conn: &mut Conn, ftype: FrameType, payload: Vec<u8>) -> Action {
+/// Enforces the session state machine for one frame, updating the
+/// connection's stream bookkeeping. Pure with respect to the loop — all
+/// I/O consequences are in the returned [`Action`].
+fn decide(conn: &mut Conn, ftype: FrameType, payload: &[u8]) -> Action {
     match ftype {
-        FrameType::Events => {
-            if conn.mode == Mode::Session {
-                return Action::Quarantine(
-                    ErrorCode::Malformed,
-                    "legacy Events frame on a session connection".to_string(),
-                );
-            }
-            conn.mode = Mode::Legacy { open: true };
-            Action::Forward(ShardItem::LegacyEvents(payload), true)
-        }
         FrameType::Finish => {
-            if conn.mode == Mode::Session {
-                conn.open_ids.clear();
-                Action::Final(ShardItem::Bye)
-            } else {
-                Action::Final(ShardItem::LegacyFinish)
-            }
+            conn.open_ids.clear();
+            Action::Final(ShardItem::Bye)
         }
         FrameType::StreamEvents => {
-            if matches!(conn.mode, Mode::Legacy { .. }) {
-                return Action::Quarantine(
-                    ErrorCode::Malformed,
-                    "session frame on a legacy connection".to_string(),
-                );
-            }
-            conn.mode = Mode::Session;
-            match proto::split_stream_payload(&payload) {
-                Ok((stream, rest)) => {
-                    let bytes = rest.to_vec();
-                    if conn.open_ids.contains(&stream) {
-                        Action::Forward(ShardItem::StreamEvents { stream, bytes }, true)
-                    } else if stream >= conn.next_stream_min {
+            let (stream, bytes) = match proto::split_stream_payload(payload) {
+                Ok(split) => split,
+                Err(err) => return Action::Quarantine(quarantine_code(&err), err.to_string()),
+            };
+            match conn.admit_stream(stream) {
+                Ok(open) => {
+                    if !open {
                         conn.open_ids.push(stream);
-                        conn.next_stream_min = stream.saturating_add(1);
-                        Action::Forward(ShardItem::StreamEvents { stream, bytes }, true)
-                    } else {
-                        Action::Quarantine(
-                            ErrorCode::Malformed,
-                            format!("stream id {stream} reused (ids must be strictly increasing)"),
-                        )
                     }
+                    let bytes = bytes.to_vec();
+                    Action::Forward(ShardItem::StreamEvents { stream, bytes }, true)
                 }
-                Err(err) => Action::Quarantine(quarantine_code(&err), err.to_string()),
+                Err(action) => action,
             }
         }
         FrameType::StreamFinish => {
-            if matches!(conn.mode, Mode::Legacy { .. }) {
-                return Action::Quarantine(
-                    ErrorCode::Malformed,
-                    "session frame on a legacy connection".to_string(),
-                );
-            }
-            conn.mode = Mode::Session;
-            match proto::decode_stream_finish(&payload) {
-                Ok(stream) => {
-                    if let Some(at) = conn.open_ids.iter().position(|id| *id == stream) {
-                        conn.open_ids.swap_remove(at);
-                        Action::Forward(ShardItem::StreamFinish { stream }, false)
-                    } else if stream >= conn.next_stream_min {
-                        // Open-and-finish with no events: an empty stream.
-                        conn.next_stream_min = stream.saturating_add(1);
-                        Action::Forward(ShardItem::StreamFinish { stream }, false)
-                    } else {
-                        Action::Quarantine(
-                            ErrorCode::Malformed,
-                            format!("stream id {stream} reused (ids must be strictly increasing)"),
-                        )
+            let stream = match proto::decode_stream_finish(payload) {
+                Ok(stream) => stream,
+                Err(err) => return Action::Quarantine(quarantine_code(&err), err.to_string()),
+            };
+            match conn.admit_stream(stream) {
+                // Open-and-finish with no events is an empty stream.
+                Ok(open) => {
+                    if open {
+                        conn.open_ids.retain(|id| *id != stream);
                     }
+                    Action::Forward(ShardItem::StreamFinish { stream }, false)
                 }
-                Err(err) => Action::Quarantine(quarantine_code(&err), err.to_string()),
+                Err(action) => action,
             }
         }
         other => Action::Quarantine(
             ErrorCode::Malformed,
-            format!("client sent server-side frame {other:?}"),
+            format!("{other:?} is not a session frame the server accepts"),
         ),
     }
 }
@@ -921,7 +819,7 @@ impl EventLoop {
             }
 
             if !self.draining && self.shutdown.load(Ordering::SeqCst) {
-                self.begin_drain(now);
+                self.begin_drain();
             }
             if self.draining && self.live == 0 {
                 return;
@@ -1015,7 +913,6 @@ impl EventLoop {
             shard,
             shard_known: false,
             phase,
-            mode: Mode::Unknown,
             open_ids: Vec::new(),
             next_stream_min: 0,
             last_progress: now,
@@ -1120,7 +1017,7 @@ impl EventLoop {
             }
         }
         self.set_interest(slot);
-        self.arm(slot, now);
+        self.arm(slot);
     }
 
     /// Decodes and dispatches every complete frame the assembler holds,
@@ -1135,7 +1032,7 @@ impl EventLoop {
             match conn.asm.next_frame() {
                 Ok(Some(frame)) => {
                     conn.last_progress = now;
-                    match decide(conn, frame.ftype, frame.payload) {
+                    match decide(conn, frame.ftype, &frame.payload) {
                         Action::Forward(item, counted) => {
                             if counted {
                                 conn.inflight += 1;
@@ -1162,7 +1059,7 @@ impl EventLoop {
             }
         }
         self.set_interest(slot);
-        self.arm(slot, now);
+        self.arm(slot);
     }
 
     fn forward(&mut self, slot: usize, item: ShardItem) {
@@ -1254,7 +1151,7 @@ impl EventLoop {
             }
         }
         self.set_interest(slot);
-        self.arm(slot, now);
+        self.arm(slot);
     }
 
     fn on_write_failure(&mut self, slot: usize) {
@@ -1364,7 +1261,7 @@ impl EventLoop {
             self.quarantine_reap(slot, &msg, now);
             return;
         }
-        self.arm(slot, now);
+        self.arm(slot);
     }
 
     /// Deadline reap: typed error, lingering close. (Not counted as a
@@ -1394,7 +1291,7 @@ impl EventLoop {
         }
     }
 
-    fn arm(&mut self, slot: usize, now: Instant) {
+    fn arm(&mut self, slot: usize) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
@@ -1404,7 +1301,6 @@ impl EventLoop {
         if let Some(deadline) = conn.next_deadline(&self.cfg) {
             let token = conn.token(slot);
             conn.armed = true;
-            let _ = now; // deadlines are absolute; the wheel handles lateness
             self.wheel.insert(token, deadline);
         }
     }
@@ -1433,7 +1329,7 @@ impl EventLoop {
 
     // -- drain -------------------------------------------------------------
 
-    fn begin_drain(&mut self, now: Instant) {
+    fn begin_drain(&mut self) {
         self.draining = true;
         self.deregister_listener();
         self.listener = None;
@@ -1445,22 +1341,10 @@ impl EventLoop {
             if conn.phase != Phase::Streaming {
                 continue;
             }
-            if conn.mode == Mode::Unknown {
-                // Never sent a frame: the loop can answer it directly
-                // with an empty partial report — no shard round-trip for
-                // an idle swarm.
-                self.stats.drained_partial.fetch_add(1, Ordering::Relaxed);
-                let done = Done {
-                    partial: true,
-                    total: 0,
-                    races: Vec::new(),
-                };
-                self.begin_close_frame(
-                    slot,
-                    frame_bytes(FrameType::Done, &proto::encode_done(&done)),
-                    false,
-                    now,
-                );
+            if !conn.shard_known {
+                // Never forwarded work: nothing is in flight, so it closes
+                // with no frame — no shard round-trip for an idle swarm.
+                self.close_conn(slot);
             } else {
                 conn.phase = Phase::AwaitFinal;
                 self.forward(slot, ShardItem::Drain);
@@ -1491,7 +1375,7 @@ impl Server {
     /// # Errors
     ///
     /// Any `io::Error` from binding the listener or creating the
-    /// selector/waker (`Unsupported` on non-Unix platforms).
+    /// selector/waker (`Unsupported` off Linux).
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
@@ -1582,7 +1466,7 @@ impl Server {
     }
 
     /// Graceful drain: stop accepting, stop reading, flush a partial
-    /// `Done` for every in-flight stream, join every thread. Returns the
+    /// `StreamDone` for every open stream, join every thread. Returns the
     /// final counters.
     ///
     /// # Panics

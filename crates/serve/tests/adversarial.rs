@@ -4,9 +4,9 @@
 //! a real socket: fuzzed-malformed frames, a slowloris client, mid-stream
 //! disconnects, overload, flood-under-backpressure, and graceful drain —
 //! asserting typed errors, load shedding, deadline reaping, unaffected
-//! healthy clients, and report equivalence with in-process replay. A
-//! panic in any server thread fails the test through
-//! `Server::shutdown`'s joins.
+//! healthy clients, and report equivalence with in-process replay. One
+//! trace per connection travels as session stream 0. A panic in any
+//! server thread fails the test through `Server::shutdown`'s joins.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -16,9 +16,10 @@ use std::time::{Duration, Instant};
 use scord_core::wire::{self, FrameType};
 use scord_core::{
     Detector, DetectorConfig, FaultInjector, FaultKind, FaultPlan, FuzzConfig, RaceKind,
-    ScordDetector, Trace,
+    ScordDetector, Trace, TraceEvent,
 };
-use scord_serve::{detect_remote, Client, ErrorCode, Outcome, ServeConfig, Server};
+use scord_serve::proto;
+use scord_serve::{detect_remote, Client, ClientError, ErrorCode, Outcome, ServeConfig, Server};
 
 const DETECTOR_MEM: u64 = 1 << 20;
 
@@ -55,6 +56,32 @@ fn replay_races(trace: &Trace) -> Vec<(u32, RaceKind)> {
 fn sorted(mut races: Vec<(u32, RaceKind)>) -> Vec<(u32, RaceKind)> {
     races.sort_by_key(|&(pc, kind)| (pc, kind as u8));
     races
+}
+
+/// One framed `StreamEvents` payload for stream 0.
+fn stream0_frame(events: &[TraceEvent]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    wire::encode_frame(
+        FrameType::StreamEvents,
+        &proto::encode_stream_events(0, events),
+        &mut frame,
+    );
+    frame
+}
+
+/// `trace` as the frames of a one-stream session after the header:
+/// stream-0 `StreamEvents` of at most `events_per_frame` events, then
+/// `Finish`.
+fn stream0_frames(trace: &Trace, events_per_frame: usize) -> Vec<Vec<u8>> {
+    let mut frames: Vec<Vec<u8>> = trace
+        .events()
+        .chunks(events_per_frame)
+        .map(stream0_frame)
+        .collect();
+    let mut fin = Vec::new();
+    wire::encode_frame(FrameType::Finish, &[], &mut fin);
+    frames.push(fin);
+    frames
 }
 
 fn wait_for<F: Fn() -> bool>(what: &str, timeout: Duration, cond: F) {
@@ -104,9 +131,15 @@ fn clean_traces_report_nothing_and_racey_ones_report_incrementally() {
         done.races.is_empty(),
         "race_pct=0 traces are provably clean"
     );
+    // An empty trace is a valid, raceless stream 0.
+    let Outcome::Done(done) = detect_remote(addr, &Trace::new(), 64).expect("empty stream") else {
+        panic!("expected Done");
+    };
+    assert!(!done.partial && done.total == 0 && done.races.is_empty());
 
-    // A racey stream must yield at least one incremental Report frame
-    // before its Done (the "incremental race reports" contract).
+    // A racey stream must yield at least one incremental StreamReport
+    // frame before its StreamDone (the "incremental race reports"
+    // contract).
     let racey = fuzzed(3, 800);
     assert!(
         !replay_races(&racey).is_empty(),
@@ -116,14 +149,14 @@ fn clean_traces_report_nothing_and_racey_ones_report_incrementally() {
     client
         .set_read_timeout(Duration::from_secs(30))
         .expect("timeout");
-    client.send_trace(&racey, 32).expect("send");
-    let outcome = client.finish().expect("racey stream");
+    client.send_stream_trace(0, &racey, 32).expect("send");
+    let outcome = client.finish_stream(0).expect("racey stream");
     let Outcome::Done(done) = outcome else {
         panic!("expected Done");
     };
     assert_eq!(sorted(done.races), replay_races(&racey));
     assert!(
-        !client.reports().is_empty(),
+        !client.stream_reports(0).is_empty(),
         "incremental reports must precede Done on a racey stream"
     );
     let _ = server.shutdown();
@@ -152,7 +185,7 @@ fn malformed_streams_get_typed_errors_and_healthy_clients_keep_working() {
 
     // 3. CRC corruption on an otherwise valid stream.
     let trace = fuzzed(11, 300);
-    let mut chunks = wire::trace_to_frames(&trace, 50);
+    let mut chunks = stream0_frames(&trace, 50);
     let target = chunks.len() / 2;
     let mid = chunks[target].len() / 2;
     chunks[target][mid] ^= 0x40;
@@ -160,8 +193,7 @@ fn malformed_streams_get_typed_errors_and_healthy_clients_keep_working() {
     client
         .set_read_timeout(Duration::from_secs(10))
         .expect("timeout");
-    for chunk in &chunks[1..] {
-        // skip the header; Client::connect sent one
+    for chunk in &chunks {
         if client.send_bytes(chunk).is_err() {
             break; // server may quarantine before we finish writing
         }
@@ -181,9 +213,10 @@ fn malformed_streams_get_typed_errors_and_healthy_clients_keep_working() {
     client
         .set_read_timeout(Duration::from_secs(10))
         .expect("timeout");
-    let bad_word = (6u64 | (1 << 60)).to_le_bytes(); // KernelBoundary + junk
+    let mut payload = 0u32.to_le_bytes().to_vec(); // stream 0
+    payload.extend_from_slice(&(6u64 | (1 << 60)).to_le_bytes()); // KernelBoundary + junk
     let mut frame = Vec::new();
-    wire::encode_frame(FrameType::Events, &bad_word, &mut frame);
+    wire::encode_frame(FrameType::StreamEvents, &payload, &mut frame);
     client.send_bytes(&frame).expect("send");
     let outcome = client.read_outcome().expect("typed outcome");
     match &outcome {
@@ -218,12 +251,12 @@ fn fuzzed_transport_faults_never_panic_and_always_resolve_typed() {
     {
         for seed in 0..4u64 {
             let trace = fuzzed(100 + seed, 300);
-            let chunks = wire::trace_to_frames(&trace, 32);
+            let chunks = stream0_frames(&trace, 32);
             let plan = FaultPlan::single(kind, 250_000, seed * 31 + i as u64);
             let mut corruptor = wire::FrameCorruptor::new(FaultInjector::new(plan));
             // Corrupt only the frames; header corruption is covered by
             // the malformed-stream scenarios.
-            let sent = corruptor.corrupt(&chunks[1..]);
+            let sent = corruptor.corrupt(&chunks);
             let mut client = Client::connect(addr).expect("connect");
             client
                 .set_read_timeout(Duration::from_secs(10))
@@ -270,12 +303,7 @@ fn slowloris_is_reaped_with_deadline_error() {
         .set_read_timeout(Duration::from_secs(10))
         .expect("timeout");
     // A few bytes of a frame, then silence: never a complete frame.
-    let mut frame = Vec::new();
-    wire::encode_frame(
-        FrameType::Events,
-        &wire::encode_events(fuzzed(0, 50).events()),
-        &mut frame,
-    );
+    let frame = stream0_frame(fuzzed(0, 50).events());
     client.send_bytes(&frame[..6]).expect("partial frame");
     match client.read_outcome().expect("reap must be typed") {
         Outcome::ServerError(info) => {
@@ -294,7 +322,7 @@ fn mid_stream_disconnect_is_counted_and_harmless() {
     {
         let mut client = Client::connect(addr).expect("connect");
         client
-            .send_events(fuzzed(5, 200).events())
+            .send_stream_events(0, fuzzed(5, 200).events())
             .expect("partial stream");
         // Drop without Finish: mid-stream disconnect.
     }
@@ -414,8 +442,8 @@ fn graceful_drain_flushes_partial_reports() {
     client
         .set_read_timeout(Duration::from_secs(30))
         .expect("timeout");
-    client.send_trace(&trace, 64).expect("send");
-    // No Finish: the stream is in flight when the drain starts. Wait for
+    client.send_stream_trace(0, &trace, 64).expect("send");
+    // No StreamFinish: the stream is open when the drain starts. Wait for
     // the server to have seen it, then shut down from another thread —
     // storing the flag is exactly what a SIGTERM watcher does.
     wait_for("stream accepted", Duration::from_secs(5), || {
@@ -429,7 +457,7 @@ fn graceful_drain_flushes_partial_reports() {
         .read_outcome()
         .expect("drain must answer in-flight streams");
     let Outcome::Done(done) = outcome else {
-        panic!("expected partial Done on drain, got {outcome:?}");
+        panic!("expected a partial StreamDone on drain, got {outcome:?}");
     };
     assert!(done.partial, "drain reports must be marked partial");
     // The partial result is a prefix-truth: every race it reports exists
@@ -443,6 +471,50 @@ fn graceful_drain_flushes_partial_reports() {
     }
     let stats = shutter.join().expect("shutdown thread");
     assert!(stats.drained_partial >= 1, "stats: {stats:?}");
+}
+
+#[test]
+fn drain_closes_idle_connections_silently_and_flushes_open_streams() {
+    let server = Server::start(quick_cfg()).expect("bind");
+    let addr = server.local_addr();
+
+    // Header only: nothing was ever forwarded, so nothing is in flight.
+    let mut idle = Client::connect(addr).expect("connect idle");
+    idle.set_read_timeout(Duration::from_secs(30))
+        .expect("timeout");
+
+    // Stream 0 open with events. Finishing the empty stream 1 afterwards
+    // is a round trip that proves stream 0's events reached the shard.
+    let mut open = Client::connect(addr).expect("connect open");
+    open.set_read_timeout(Duration::from_secs(30))
+        .expect("timeout");
+    let trace = fuzzed(8, 300);
+    open.send_stream_trace(0, &trace, 64).expect("send");
+    let done = match open.finish_stream(1).expect("empty stream 1") {
+        Outcome::Done(done) => done,
+        other => panic!("expected Done for stream 1, got {other:?}"),
+    };
+    assert!(!done.partial && done.races.is_empty());
+    wait_for("both connections accepted", Duration::from_secs(5), || {
+        server.stats().accepted >= 2
+    });
+
+    let shutter = std::thread::spawn(move || server.shutdown());
+    let outcome = open.read_outcome().expect("drain answers the open stream");
+    let Outcome::Done(done) = outcome else {
+        panic!("expected a partial StreamDone on drain, got {outcome:?}");
+    };
+    assert!(done.partial, "drain reports must be marked partial");
+    assert_eq!(
+        idle.read_outcome(),
+        Err(ClientError::ConnectionClosed),
+        "a connection with nothing in flight closes with no frame"
+    );
+
+    let stats = shutter.join().expect("shutdown thread");
+    assert_eq!(stats.drained_partial, 1, "stats: {stats:?}");
+    assert_eq!(stats.completed, 1, "stats: {stats:?}");
+    assert_eq!(stats.quarantined, 0, "stats: {stats:?}");
 }
 
 // ---- helpers -------------------------------------------------------------
@@ -460,10 +532,12 @@ fn read_outcome_of(stream: TcpStream) -> Result<Outcome, String> {
             return Ok(match frame.ftype {
                 FrameType::Busy => Outcome::Busy,
                 FrameType::Error => Outcome::ServerError(
-                    scord_serve::proto::decode_error(&frame.payload).map_err(|e| e.to_string())?,
+                    proto::decode_error(&frame.payload).map_err(|e| e.to_string())?,
                 ),
-                FrameType::Done => Outcome::Done(
-                    scord_serve::proto::decode_done(&frame.payload).map_err(|e| e.to_string())?,
+                FrameType::StreamDone => Outcome::Done(
+                    proto::decode_stream_done(&frame.payload)
+                        .map_err(|e| e.to_string())?
+                        .1,
                 ),
                 other => return Err(format!("unexpected frame {other:?}")),
             });
@@ -516,9 +590,9 @@ fn slowloris_at_scale_reaps_only_the_stalled_few() {
             let mut c = Client::connect(addr).unwrap_or_else(|e| panic!("slowloris {i}: {e}"));
             c.set_read_timeout(Duration::from_secs(10))
                 .expect("timeout");
-            // Six bytes of a frame header, then silence: an unfinished
-            // frame, so the progress deadline applies.
-            c.send_bytes(&[0x40, 0x00, 0x00, 0x00, 0x01, 0x00])
+            // Six bytes of a `StreamEvents` frame, then silence: an
+            // unfinished frame, so the progress deadline applies.
+            c.send_bytes(&[0x40, 0x00, 0x00, 0x00, 0x03, 0x00])
                 .expect("partial frame");
             c
         })
@@ -552,8 +626,10 @@ fn slowloris_at_scale_reaps_only_the_stalled_few() {
         .set_read_timeout(Duration::from_secs(30))
         .expect("timeout");
     let trace = fuzzed(9, 300);
-    survivor.send_trace(&trace, 32).expect("send on survivor");
-    let Outcome::Done(done) = survivor.finish().expect("survivor completes") else {
+    survivor
+        .send_stream_trace(0, &trace, 32)
+        .expect("send on survivor");
+    let Outcome::Done(done) = survivor.finish_stream(0).expect("survivor completes") else {
         panic!("survivor must complete");
     };
     assert!(!done.partial);

@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use scord_core::wire::{self, FrameType};
 use scord_core::{Detector, DetectorConfig, FuzzConfig, RaceKind, ScordDetector, Trace};
 use scord_serve::{detect_session, Client, ErrorCode, Outcome, ServeConfig, Server, SessionEnd};
 
@@ -163,6 +164,80 @@ fn empty_and_reused_stream_ids() {
     let stats = server.shutdown();
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.quarantined, 1);
+}
+
+#[test]
+fn stream_id_u32_max_opens_at_most_once() {
+    let server = Server::start(quick_cfg()).expect("bind");
+    let addr = server.local_addr();
+
+    // Through StreamFinish: open-and-finish the last id, then again.
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .set_read_timeout(Duration::from_secs(30))
+        .expect("timeout");
+    let done = expect_done(client.finish_stream(u32::MAX).expect("empty stream"));
+    assert!(!done.partial);
+    let outcome = client.finish_stream(u32::MAX).expect("typed error");
+    let Outcome::ServerError(info) = outcome else {
+        panic!("expected ServerError for a refinished u32::MAX, got {outcome:?}");
+    };
+    assert_eq!(info.code, Some(ErrorCode::Malformed));
+    drop(client);
+
+    // Through StreamEvents: open with events, finish, then reopen.
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .set_read_timeout(Duration::from_secs(30))
+        .expect("timeout");
+    let trace = fuzzed(5, 64);
+    client
+        .send_stream_trace(u32::MAX, &trace, 32)
+        .expect("send");
+    let done = expect_done(client.finish_stream(u32::MAX).expect("finish"));
+    assert_eq!(sorted(done.races), replay_races(&trace));
+    client
+        .send_stream_events(u32::MAX, trace.events())
+        .expect("write reused id");
+    let outcome = client.read_outcome().expect("typed error");
+    let Outcome::ServerError(info) = outcome else {
+        panic!("expected ServerError for a reopened u32::MAX, got {outcome:?}");
+    };
+    assert_eq!(info.code, Some(ErrorCode::Malformed));
+    drop(client);
+
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, 2, "stats: {stats:?}");
+    assert_eq!(stats.quarantined, 2, "stats: {stats:?}");
+}
+
+#[test]
+fn events_frame_is_a_typed_malformed_quarantine() {
+    let server = Server::start(quick_cfg()).expect("bind");
+    let addr = server.local_addr();
+
+    // `Events` is transport framing, not service input.
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .set_read_timeout(Duration::from_secs(30))
+        .expect("timeout");
+    let mut frame = Vec::new();
+    wire::encode_frame(
+        FrameType::Events,
+        &wire::encode_events(fuzzed(1, 16).events()),
+        &mut frame,
+    );
+    client.send_bytes(&frame).expect("write Events frame");
+    let outcome = client.read_outcome().expect("typed error");
+    let Outcome::ServerError(info) = outcome else {
+        panic!("expected ServerError for an Events frame, got {outcome:?}");
+    };
+    assert_eq!(info.code, Some(ErrorCode::Malformed), "{info:?}");
+    drop(client);
+
+    let stats = server.shutdown();
+    assert_eq!(stats.quarantined, 1, "stats: {stats:?}");
+    assert_eq!(stats.completed, 0, "stats: {stats:?}");
 }
 
 #[test]
