@@ -204,8 +204,11 @@ impl std::error::Error for WireError {}
 
 // ---- CRC-32 (IEEE 802.3, reflected) --------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// eight table lookups fold in eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -218,20 +221,46 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE) over `bytes` — the per-frame checksum.
+/// CRC-32 (IEEE) over `bytes` — the per-frame checksum. Slicing-by-8: the
+/// same polynomial and values as the bytewise table walk, eight bytes per
+/// step.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -309,10 +338,16 @@ fn encode_event(ev: &TraceEvent, out: &mut Vec<u8>) {
 #[must_use]
 pub fn encode_events(events: &[TraceEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(events.len() * 8);
-    for ev in events {
-        encode_event(ev, &mut out);
-    }
+    encode_events_into(events, &mut out);
     out
+}
+
+/// Appends the packed encoding of `events` to `out`, so a caller can build
+/// a payload in place (see [`encode_frame_with`]).
+pub fn encode_events_into(events: &[TraceEvent], out: &mut Vec<u8>) {
+    for ev in events {
+        encode_event(ev, out);
+    }
 }
 
 /// Fields that must be zero for the encoding to be canonical.
@@ -340,14 +375,12 @@ pub fn decode_events(payload: &[u8]) -> Result<Vec<TraceEvent>, WireError> {
             reason: "payload is not a whole number of 64-bit words",
         });
     }
-    let words: Vec<u64> = payload
+    let mut words = payload
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-        .collect();
-    let mut events = Vec::with_capacity(words.len());
-    let mut i = 0;
-    while i < words.len() {
-        let w = words[i];
+        .enumerate();
+    let mut events = Vec::with_capacity(payload.len() / 8);
+    while let Some((i, w)) = words.next() {
         let tag = w & 0xF;
         let sm = ((w >> 8) & 0xFF) as u8;
         let block_slot = ((w >> 16) & 0xFF) as u8;
@@ -384,13 +417,12 @@ pub fn decode_events(payload: &[u8]) -> Result<Vec<TraceEvent>, WireError> {
                         AccessKind::Atomic { kind: atom, scope }
                     }
                 };
-                let Some(&addr) = words.get(i + 1) else {
+                let Some((_, addr)) = words.next() else {
                     return Err(WireError::BadEvent {
                         word: i,
                         reason: "access descriptor missing its address word",
                     });
                 };
-                i += 1;
                 TraceEvent::Access(MemAccess {
                     kind,
                     addr,
@@ -435,7 +467,6 @@ pub fn decode_events(payload: &[u8]) -> Result<Vec<TraceEvent>, WireError> {
             }
         };
         events.push(ev);
-        i += 1;
     }
     Ok(events)
 }
@@ -452,17 +483,26 @@ pub fn encode_header(out: &mut Vec<u8>) {
 /// Appends one framed payload (length prefix, type byte, payload, CRC) to
 /// `out`.
 pub fn encode_frame(ftype: FrameType, payload: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("frame payload fits u32")
-            .to_le_bytes(),
-    );
+    encode_frame_with(ftype, out, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one frame whose payload `fill` appends straight to `out`, so
+/// the payload is never staged in a buffer of its own. The length prefix
+/// is patched in afterwards and the CRC runs over the type byte and
+/// payload where they lie in `out`. `fill` must only append.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds `u32::MAX` bytes.
+pub fn encode_frame_with(ftype: FrameType, out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
     out.push(ftype.code());
-    out.extend_from_slice(payload);
-    let mut body = Vec::with_capacity(payload.len() + 1);
-    body.push(ftype.code());
-    body.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
+    fill(out);
+    let len = u32::try_from(out.len() - start - 5).expect("frame payload fits u32");
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[start + 4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// One decoded frame.
@@ -490,8 +530,10 @@ pub fn trace_to_frames(trace: &Trace, events_per_frame: usize) -> Vec<Vec<u8>> {
     encode_header(&mut header);
     chunks.push(header);
     for batch in trace.events().chunks(events_per_frame) {
-        let mut frame = Vec::new();
-        encode_frame(FrameType::Events, &encode_events(batch), &mut frame);
+        let mut frame = Vec::with_capacity(FRAME_OVERHEAD + batch.len() * 16);
+        encode_frame_with(FrameType::Events, &mut frame, |out| {
+            encode_events_into(batch, out);
+        });
         chunks.push(frame);
     }
     let mut fin = Vec::new();
@@ -720,24 +762,39 @@ mod tests {
     use crate::fault::{FaultPlan, SplitMix64};
     use crate::FuzzConfig;
 
+    const ALL_TYPES: [FrameType; 8] = [
+        FrameType::Events,
+        FrameType::Finish,
+        FrameType::StreamEvents,
+        FrameType::StreamFinish,
+        FrameType::Error,
+        FrameType::Busy,
+        FrameType::StreamReport,
+        FrameType::StreamDone,
+    ];
+
     fn sample_trace() -> Trace {
         FuzzConfig::default().generate(0xC0FFEE)
     }
 
+    /// The one-byte-at-a-time table walk slicing-by-8 must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    fn random_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut rng = SplitMix64::new(seed);
+        (0..n).map(|_| (rng.next_u32() & 0xFF) as u8).collect()
+    }
+
     #[test]
     fn frame_type_codes_roundtrip_and_are_unique() {
-        let all = [
-            FrameType::Events,
-            FrameType::Finish,
-            FrameType::StreamEvents,
-            FrameType::StreamFinish,
-            FrameType::Error,
-            FrameType::Busy,
-            FrameType::StreamReport,
-            FrameType::StreamDone,
-        ];
         let mut seen = std::collections::HashSet::new();
-        for t in all {
+        for t in ALL_TYPES {
             assert!(seen.insert(t.code()), "duplicate code for {t:?}");
             assert_eq!(FrameType::from_code(t.code()).expect("assigned"), t);
             // Client→server tags stay below 0x80, server→client at or above.
@@ -760,6 +817,54 @@ mod tests {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_slicing_by_8_matches_bytewise_reference() {
+        let buf = random_bytes(0xC2C, 64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        let big = random_bytes(0xB16, 64 * 1024);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn encode_frame_matches_copy_then_crc_bytes() {
+        for ftype in ALL_TYPES {
+            for len in [0, 1, 7, 8, 9, 100, 4096] {
+                let payload = random_bytes(u64::from(ftype.code()) << 16 | len as u64, len);
+                // The frame as built before the CRC ran in place: type byte
+                // and payload copied into a body, then hashed bytewise.
+                let mut body = vec![ftype.code()];
+                body.extend_from_slice(&payload);
+                let mut expected = (len as u32).to_le_bytes().to_vec();
+                expected.extend_from_slice(&body);
+                expected.extend_from_slice(&crc32_bytewise(&body).to_le_bytes());
+
+                let mut out = vec![0xAA]; // frames append after existing bytes
+                encode_frame(ftype, &payload, &mut out);
+                assert_eq!(&out[1..], expected.as_slice(), "{ftype:?}, len {len}");
+                let mut with = Vec::new();
+                encode_frame_with(ftype, &mut with, |o| o.extend_from_slice(&payload));
+                assert_eq!(with, expected, "{ftype:?}, len {len}");
+            }
+        }
+        // `trace_to_frames` builds its `Events` payloads in place.
+        let trace = sample_trace();
+        let chunks = trace_to_frames(&trace, 50);
+        for (chunk, batch) in chunks[1..].iter().zip(trace.events().chunks(50)) {
+            let mut frame = Vec::new();
+            encode_frame(FrameType::Events, &encode_events(batch), &mut frame);
+            assert_eq!(*chunk, frame);
+        }
     }
 
     #[test]

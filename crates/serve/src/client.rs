@@ -101,12 +101,20 @@ enum SessionFrame {
 /// ([`send_stream_events`](Self::send_stream_events) …
 /// [`finish_stream`](Self::finish_stream) …
 /// [`end_session`](Self::end_session)).
+///
+/// Incremental reports are kept for the streams still open and for the
+/// stream whose `StreamDone` was returned last, so a session's memory
+/// stays flat however many streams it carries.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
     asm: FrameAssembler,
     stream_reports: HashMap<u32, Vec<Report>>,
     pending_dones: HashMap<u32, Done>,
+    /// The stream whose `StreamDone` was returned last.
+    last_done: Option<u32>,
+    /// Reused encode buffer for outgoing frames.
+    out: Vec<u8>,
 }
 
 impl Client {
@@ -123,6 +131,8 @@ impl Client {
             asm: FrameAssembler::headerless(),
             stream_reports: HashMap::new(),
             pending_dones: HashMap::new(),
+            last_done: None,
+            out: Vec::new(),
         };
         let mut header = Vec::with_capacity(wire::HEADER_BYTES);
         wire::encode_header(&mut header);
@@ -177,38 +187,68 @@ impl Client {
         stream: u32,
         events: &[TraceEvent],
     ) -> Result<(), ClientError> {
-        let mut frame = Vec::new();
-        wire::encode_frame(
-            FrameType::StreamEvents,
-            &proto::encode_stream_events(stream, events),
-            &mut frame,
-        );
-        self.stream.write_all(&frame)?;
-        Ok(())
+        self.send_stream_batches(stream, std::iter::once(events))
     }
 
     /// Sends a whole trace on stream `stream` as `StreamEvents` frames
-    /// of `events_per_frame`.
+    /// of `events_per_frame`, encoded into one buffer and sent with one
+    /// write.
     ///
     /// # Errors
     ///
-    /// Any socket error from the writes.
+    /// Any socket error from the write.
     pub fn send_stream_trace(
         &mut self,
         stream: u32,
         trace: &Trace,
         events_per_frame: usize,
     ) -> Result<(), ClientError> {
-        for batch in trace.events().chunks(events_per_frame.max(1)) {
-            self.send_stream_events(stream, batch)?;
-        }
+        self.send_stream_batches(stream, trace.events().chunks(events_per_frame.max(1)))
+    }
+
+    /// Sends one frame, encoded into the reused buffer.
+    fn send_frame(&mut self, ftype: FrameType, payload: &[u8]) -> Result<(), ClientError> {
+        self.out.clear();
+        wire::encode_frame(ftype, payload, &mut self.out);
+        self.stream.write_all(&self.out)?;
         Ok(())
     }
 
-    /// Incremental reports received so far for one session stream.
+    /// Encodes one `StreamEvents` frame per batch into the reused buffer,
+    /// then writes them all at once.
+    fn send_stream_batches<'a>(
+        &mut self,
+        stream: u32,
+        batches: impl Iterator<Item = &'a [TraceEvent]>,
+    ) -> Result<(), ClientError> {
+        self.out.clear();
+        for batch in batches {
+            wire::encode_frame_with(FrameType::StreamEvents, &mut self.out, |out| {
+                proto::encode_stream_events_into(stream, batch, out);
+            });
+        }
+        self.stream.write_all(&self.out)?;
+        Ok(())
+    }
+
+    /// Incremental reports received so far for one session stream: an
+    /// open stream, or the stream whose `StreamDone` was returned last
+    /// (empty for streams finished before that).
     #[must_use]
     pub fn stream_reports(&self, stream: u32) -> &[Report] {
         self.stream_reports.get(&stream).map_or(&[], Vec::as_slice)
+    }
+
+    /// `stream`'s `StreamDone` is being returned: keep its reports for
+    /// [`stream_reports`](Self::stream_reports) and drop those of the
+    /// stream returned before it.
+    fn returned(&mut self, stream: u32, done: Done) -> Outcome {
+        if let Some(prev) = self.last_done.replace(stream) {
+            if prev != stream {
+                self.stream_reports.remove(&prev);
+            }
+        }
+        Outcome::Done(done)
     }
 
     /// Sends `StreamFinish` for `stream` and reads until that stream's
@@ -221,15 +261,12 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn finish_stream(&mut self, stream: u32) -> Result<Outcome, ClientError> {
-        let mut frame = Vec::new();
-        wire::encode_frame(
+        self.send_frame(
             FrameType::StreamFinish,
             &proto::encode_stream_finish(stream),
-            &mut frame,
-        );
-        self.stream.write_all(&frame)?;
+        )?;
         if let Some(done) = self.pending_dones.remove(&stream) {
-            return Ok(Outcome::Done(done));
+            return Ok(self.returned(stream, done));
         }
         self.read_until(Some(stream))
     }
@@ -244,7 +281,7 @@ impl Client {
                 match Self::classify_session_frame(&mut self.stream_reports, frame)? {
                     SessionFrame::Done(id, done) => {
                         if want.is_none_or(|w| w == id) {
-                            return Ok(Outcome::Done(done));
+                            return Ok(self.returned(id, done));
                         }
                         self.pending_dones.insert(id, done);
                     }
@@ -270,9 +307,7 @@ impl Client {
     /// See [`ClientError`]. EOF after `Finish` is the *normal* clean end,
     /// not an error.
     pub fn end_session(&mut self) -> Result<SessionEnd, ClientError> {
-        let mut frame = Vec::new();
-        wire::encode_frame(FrameType::Finish, &[], &mut frame);
-        self.stream.write_all(&frame)?;
+        self.send_frame(FrameType::Finish, &[])?;
         let mut dones: Vec<(u32, Done)> = self.pending_dones.drain().collect();
         let mut buf = [0u8; 16 * 1024];
         'read: loop {
@@ -383,6 +418,56 @@ pub fn detect_session<A: ToSocketAddrs>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ServeConfig, Server};
+    use scord_core::FuzzConfig;
+
+    #[test]
+    fn reports_are_kept_for_open_streams_and_the_last_done_only() {
+        let server = Server::start(ServeConfig {
+            shards: 1,
+            detector_mem_bytes: 1 << 20,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let racey = FuzzConfig {
+            events: 200,
+            ..FuzzConfig::default()
+        }
+        .generate(3);
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        client
+            .set_read_timeout(Duration::from_secs(30))
+            .expect("timeout");
+
+        // Stream 0 stays open across the whole run: its reports must
+        // survive every other stream's Done.
+        client.send_stream_trace(0, &racey, 32).expect("send 0");
+        for stream in 1..=1000 {
+            client.send_stream_trace(stream, &racey, 32).expect("send");
+            let Outcome::Done(done) = client.finish_stream(stream).expect("finish") else {
+                panic!("stream {stream} did not complete");
+            };
+            assert!(!done.races.is_empty(), "the trace must be racey");
+            assert!(
+                !client.stream_reports(stream).is_empty(),
+                "stream {stream}'s reports are readable right after its Done"
+            );
+            let finished = client.stream_reports.keys().filter(|&&id| id != 0).count();
+            assert!(finished <= 1, "{finished} finished streams' reports kept");
+        }
+        assert!(
+            client.stream_reports(999).is_empty(),
+            "dropped at 1000's Done"
+        );
+        assert!(matches!(client.finish_stream(0), Ok(Outcome::Done(_))));
+        assert!(
+            !client.stream_reports(0).is_empty(),
+            "open stream's reports kept"
+        );
+        assert_eq!(client.stream_reports.len(), 1);
+        client.end_session().expect("clean end");
+        server.shutdown();
+    }
 
     #[test]
     fn client_error_display_is_informative() {

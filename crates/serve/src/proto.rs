@@ -234,9 +234,15 @@ pub fn decode_done(payload: &[u8]) -> Result<Done, WireError> {
 #[must_use]
 pub fn encode_stream_events(stream: u32, events: &[TraceEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + events.len() * 8);
-    out.extend_from_slice(&stream.to_le_bytes());
-    out.extend_from_slice(&wire::encode_events(events));
+    encode_stream_events_into(stream, events, &mut out);
     out
+}
+
+/// Appends a `StreamEvents` payload to `out` (for building a frame in
+/// place with `wire::encode_frame_with`).
+pub fn encode_stream_events_into(stream: u32, events: &[TraceEvent], out: &mut Vec<u8>) {
+    out.extend_from_slice(&stream.to_le_bytes());
+    wire::encode_events_into(events, out);
 }
 
 /// Splits a stream-scoped payload into its id and the remainder.

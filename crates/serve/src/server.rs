@@ -68,7 +68,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use scord_core::wire::{self, FrameAssembler, FrameType};
+use scord_core::wire::{self, Frame, FrameAssembler, FrameType};
 use scord_core::{Detector, DetectorConfig, DetectorError, ScordDetector, TraceEvent};
 
 use crate::proto::{self, Done, ErrorCode, Report};
@@ -235,8 +235,10 @@ impl<T> Mailbox<T> {
 /// travel undecoded — the loop never spends its cycles in
 /// `decode_events`.
 enum ShardItem {
-    /// A `StreamEvents` payload (id already stripped).
-    StreamEvents { stream: u32, bytes: Vec<u8> },
+    /// A `StreamEvents` frame payload, moved from the assembler: the
+    /// `u32` stream id (checked and parsed into `stream`), then the packed
+    /// events.
+    StreamEvents { stream: u32, payload: Vec<u8> },
     /// `StreamFinish`: emit this stream's full report; session persists.
     StreamFinish { stream: u32 },
     /// Session-level `Finish` ("bye"): finalize remaining open streams,
@@ -466,7 +468,7 @@ fn shard_handle(conns: &mut HashMap<u64, ShardConn>, msg: ShardMsg, ctx: &mut Sh
         return; // quarantined: discard queued work until the loop closes
     }
     match item {
-        ShardItem::StreamEvents { stream, bytes } => {
+        ShardItem::StreamEvents { stream, payload } => {
             ctx.acks.push((conn, 1));
             let ShardConn::Open(streams) = conns
                 .entry(conn)
@@ -481,7 +483,7 @@ fn shard_handle(conns: &mut HashMap<u64, ShardConn>, msg: ShardMsg, ctx: &mut Sh
                     &mut streams.last_mut().expect("just pushed").1
                 }
             };
-            match wire::decode_events(&bytes) {
+            match wire::decode_events(&payload[4..]) {
                 Ok(events) => {
                     if let Err(err) = sd.apply_all(&events) {
                         ctx.kill(
@@ -677,15 +679,16 @@ enum Action {
 /// Enforces the session state machine for one frame, updating the
 /// connection's stream bookkeeping. Pure with respect to the loop — all
 /// I/O consequences are in the returned [`Action`].
-fn decide(conn: &mut Conn, ftype: FrameType, payload: &[u8]) -> Action {
+fn decide(conn: &mut Conn, frame: Frame) -> Action {
+    let Frame { ftype, payload } = frame;
     match ftype {
         FrameType::Finish => {
             conn.open_ids.clear();
             Action::Final(ShardItem::Bye)
         }
         FrameType::StreamEvents => {
-            let (stream, bytes) = match proto::split_stream_payload(payload) {
-                Ok(split) => split,
+            let stream = match proto::split_stream_payload(&payload) {
+                Ok((stream, _)) => stream,
                 Err(err) => return Action::Quarantine(quarantine_code(&err), err.to_string()),
             };
             match conn.admit_stream(stream) {
@@ -693,14 +696,13 @@ fn decide(conn: &mut Conn, ftype: FrameType, payload: &[u8]) -> Action {
                     if !open {
                         conn.open_ids.push(stream);
                     }
-                    let bytes = bytes.to_vec();
-                    Action::Forward(ShardItem::StreamEvents { stream, bytes }, true)
+                    Action::Forward(ShardItem::StreamEvents { stream, payload }, true)
                 }
                 Err(action) => action,
             }
         }
         FrameType::StreamFinish => {
-            let stream = match proto::decode_stream_finish(payload) {
+            let stream = match proto::decode_stream_finish(&payload) {
                 Ok(stream) => stream,
                 Err(err) => return Action::Quarantine(quarantine_code(&err), err.to_string()),
             };
@@ -876,6 +878,11 @@ impl EventLoop {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
+        // Responses go out as separate small writes (a `StreamReport`,
+        // then the `StreamDone`). With Nagle on, the second waits for the
+        // ACK of the first, which a client blocked in `read` delays by
+        // about 40 ms. A socket left with Nagle still works, only slower.
+        let _ = stream.set_nodelay(true);
         let fd = stream_fd(&stream);
         let shed = self.active >= self.cfg.max_connections;
         let (outbox, phase, counts_active) = if shed {
@@ -965,9 +972,7 @@ impl EventLoop {
                             return;
                         }
                         Ok(n) => {
-                            let chunk: Vec<u8> = self.scratch[..n].to_vec();
-                            let conn = self.conns[slot].as_mut().expect("live slot");
-                            conn.asm.push(&chunk);
+                            conn.asm.push(&self.scratch[..n]);
                             self.pump(slot, now);
                             if self.conns[slot].is_none() {
                                 return;
@@ -1032,7 +1037,7 @@ impl EventLoop {
             match conn.asm.next_frame() {
                 Ok(Some(frame)) => {
                     conn.last_progress = now;
-                    match decide(conn, frame.ftype, &frame.payload) {
+                    match decide(conn, frame) {
                         Action::Forward(item, counted) => {
                             if counted {
                                 conn.inflight += 1;

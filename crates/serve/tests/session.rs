@@ -4,7 +4,7 @@
 //! parallel one). Companion to `tests/adversarial.rs`, which pins the
 //! transport-robustness envelope the sessions inherit.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use scord_core::wire::{self, FrameType};
 use scord_core::{Detector, DetectorConfig, FuzzConfig, RaceKind, ScordDetector, Trace};
@@ -319,4 +319,48 @@ fn session_streams_report_incrementally() {
     client.end_session().expect("clean end");
 
     server.shutdown();
+}
+
+#[test]
+fn session_round_trips_do_not_stall_on_delayed_acks() {
+    // Each trace spans several frames, so its first `StreamReport` leaves
+    // the server before its `StreamDone` does: two small writes in a row,
+    // the pattern Nagle holds back until the client's delayed ACK (about
+    // 40 ms) when the accepted socket is not `TCP_NODELAY`.
+    const TRACES: u32 = 16;
+    const EVENTS_PER_FRAME: usize = 1024;
+    let server = Server::start(quick_cfg()).expect("bind");
+    let traces: Vec<Trace> = (0..u64::from(TRACES))
+        .map(|seed| fuzzed(100 + seed, 3000))
+        .collect();
+    let expected: Vec<_> = traces.iter().map(replay_races).collect();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client
+        .set_read_timeout(Duration::from_secs(30))
+        .expect("timeout");
+
+    let mut round_trips = Vec::new();
+    for (stream, trace) in (0..TRACES).zip(&traces) {
+        let t0 = Instant::now();
+        client
+            .send_stream_trace(stream, trace, EVENTS_PER_FRAME)
+            .expect("send");
+        let done = expect_done(client.finish_stream(stream).expect("finish"));
+        round_trips.push(t0.elapsed());
+        assert!(
+            !client.stream_reports(stream).is_empty(),
+            "stream {stream} must report before its Done"
+        );
+        assert_eq!(sorted(done.races), expected[stream as usize]);
+    }
+    client.end_session().expect("clean end");
+    server.shutdown();
+
+    let total: Duration = round_trips.iter().sum();
+    assert!(
+        total < Duration::from_millis(300),
+        "{TRACES} round trips took {total:?} (each: {round_trips:?}); \
+         a 40 ms delayed-ACK stall per trace would be {} ms",
+        TRACES * 40
+    );
 }
